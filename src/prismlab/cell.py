@@ -35,7 +35,6 @@ class PrismConfig:
     L: int = 2
     w: int = 4
     chunk: int = 16
-    normalize_k: bool = True
 
     def __post_init__(self):
         for name in ("d", "L", "w", "chunk"):
@@ -58,7 +57,7 @@ class PrismParams:
     w_o: Tensor           # (d, d) output projection
 
     @classmethod
-    def init(cls, rng, cfg: PrismConfig, dtype=np.float64, out_scale=1.0):
+    def init(cls, rng, cfg: PrismConfig, dtype=np.float64):
         d, w = cfg.d, cfg.w
         sd = 1.0 / np.sqrt(d)
 
@@ -76,8 +75,7 @@ class PrismParams:
             w_p=[mat() for _ in range(cfg.L)],
             w_beta=[T.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
                     for _ in range(cfg.L)],
-            w_o=T.Tensor((rng.standard_normal((d, d)) * sd * out_scale).astype(dtype),
-                         requires_grad=True),
+            w_o=mat(),
         )
 
     def params(self):
@@ -97,7 +95,7 @@ class StepTerms:
 
     u, q, v: (B, N, d); alpha: (B, N); per layer l: k[l], p[l]: (B, N, d)
     and beta[l]: (B, N). Gates are post-sigmoid, so alpha and beta lie in
-    (0, 1); k[0] is rescaled into the unit ball when the config asks.
+    (0, 1); k[0] is rescaled into the unit ball.
     """
 
     u: Tensor
@@ -169,6 +167,21 @@ def _batched(x: Tensor):
     raise ShapeError(f"expected (N, d) or (B, N, d) input, got {x.data.shape}")
 
 
+def _initial_state(s0, bsz, d, dtype) -> Tensor:
+    """The rollout's starting state as (B, d, d): zeros when ``s0`` is None,
+    broadcast over the batch when it is one shared (d, d) state. The
+    broadcast is a taped add, so a shared state's gradient sums back to
+    (d, d)."""
+    if s0 is None:
+        return T.zeros((bsz, d, d), dtype=dtype)
+    if s0.data.shape not in ((d, d), (bsz, d, d)):
+        raise ShapeError(f"initial state {s0.data.shape} is neither (d, d) "
+                         f"nor (B, d, d) = {(bsz, d, d)}")
+    if s0.data.ndim == 2:
+        return s0 + T.zeros((bsz, d, d), dtype=s0.data.dtype)
+    return s0
+
+
 def compute_anchor(x: Tensor, params: PrismParams) -> Tensor:
     """Input anchor u = SiLU(causal depthwise conv of x). Causal by
     construction."""
@@ -198,14 +211,14 @@ def compute_step_terms(u: Tensor, params: PrismParams, cfg: PrismConfig) -> Step
 
     alpha_t = sigmoid(u_t . w_alpha); beta^(l)_t = sigmoid(u_t . w_beta^(l));
     k, p, q, v are plain linear maps of u. k^(1) is pulled into the unit
-    ball when cfg.normalize_k, satisfying the spectrum bound's hypothesis.
+    ball, satisfying the spectrum bound's hypothesis.
     """
     ub, _ = _batched(u)
     alpha = T.sigmoid(ub @ params.w_alpha)
     terms = StepTerms(u=ub, q=ub @ params.w_q, v=ub @ params.w_v, alpha=alpha)
     for l in range(cfg.L):
         k_l = ub @ params.w_k[l]
-        if l == 0 and cfg.normalize_k:
+        if l == 0:
             k_l = scale_into_unit_ball(k_l)
         terms.k.append(k_l)
         terms.p.append(ub @ params.w_p[l])
@@ -359,10 +372,7 @@ def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
     bsz, n, d = xb.data.shape
     if d != cfg.d:
         raise ShapeError(f"input channel {d} != config d {cfg.d}")
-    if s0 is None:
-        s0 = T.zeros((bsz, d, d), dtype=xb.data.dtype)
-    elif s0.data.ndim == 2:
-        s0 = T.reshape(s0, (1, d, d))
+    s0 = _initial_state(s0, bsz, d, xb.data.dtype)
     u = compute_anchor(xb, params)
     terms = compute_step_terms(u, params, cfg)
     b_inj, _ = rank_accumulate(terms, terms.v, u, cfg)
@@ -399,10 +409,9 @@ def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
     with T.no_grad():
         xb, batched = _batched(x)
         bsz, n, d = xb.data.shape
-        if s0 is None:
-            s0d = np.zeros((bsz, d, d), dtype=xb.data.dtype)
-        else:
-            s0d = s0.data.reshape(bsz, d, d) if s0.data.ndim != 3 else s0.data
+        if d != cfg.d:
+            raise ShapeError(f"input channel {d} != config d {cfg.d}")
+        s0d = _initial_state(s0, bsz, d, xb.data.dtype).data
         u = compute_anchor(xb, params)
         terms = compute_step_terms(u, params, cfg)
         b_inj, _ = rank_accumulate(terms, terms.v, u, cfg)

@@ -3,7 +3,8 @@
 Config files are JSON (string keys, scalar or list values). Unknown keys
 are rejected by name; an empty file means "all defaults". Metrics go to
 an append-safe CSV with a fixed header and floats at 6 significant
-digits, so identical runs produce byte-identical files.
+digits, so identical runs write identical values in every column except
+the wall-clock ``tokens_per_s``.
 """
 
 from __future__ import annotations

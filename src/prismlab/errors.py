@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage/config problems -> 1,
-numeric failures -> 2, property-suite failures -> 3.
+Every error the package raises on purpose is one of these classes, so a
+caller can tell bad input (ShapeError, ConfigError, DataError), API
+misuse (UsageError) and numeric failure (NumericError and its subclass
+SingularMatrixError) apart from bugs.
 """
 
 
@@ -35,7 +37,3 @@ class SingularMatrixError(NumericError):
     def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
-
-
-class PropertyFailure(AssertionError):
-    """A verification suite property did not hold."""

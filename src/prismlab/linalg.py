@@ -1,9 +1,8 @@
-"""Small dense linear algebra, written out by hand.
+"""Small dense linear algebra on numpy.linalg, with the package's contract.
 
-The matrices this package decomposes are at most 64x64, so a one-sided
-Jacobi SVD and Gaussian elimination with partial pivoting are plenty and
-keep the numerics transparent. Everything computes in float64 regardless
-of the input dtype.
+The matrices this package decomposes are at most 64x64. Everything
+computes in float64 regardless of the input dtype; a Tensor argument
+gives a Tensor result.
 """
 
 from __future__ import annotations
@@ -23,92 +22,29 @@ def _as_square_array(m, name):
         raise ShapeError(f"{name} needs a square matrix, got {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise ShapeError(f"{name} supports d <= {MAX_DIM}, got {a.shape[0]}")
-    return a.astype(np.float64, copy=True)
+    return a.astype(np.float64)
 
 
-def jacobi_svd(m, max_sweeps=64):
-    """One-sided Jacobi SVD of a square matrix. Returns (U, s, Vt).
-
-    Columns of the working copy are rotated pairwise until all are
-    mutually orthogonal; singular values are the resulting column norms,
-    sorted non-increasing.
-    """
-    a = _as_square_array(m, "jacobi_svd")
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 0:
-        return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
-    if d == 1:
-        val = a[0, 0]
-        return (np.array([[1.0 if val >= 0 else -1.0]]),
-                np.array([abs(val)]), np.eye(1))
-
-    scale = np.sqrt((a * a).sum())
-    if scale == 0.0:
-        return np.eye(d), np.zeros(d), v.T
-    tol = 1e-15 * scale * scale
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                x = a[:, p]
-                y = a[:, q]
-                c_pq = float(x @ y)
-                if abs(c_pq) <= tol:
-                    continue
-                off = max(off, abs(c_pq))
-                app = float(x @ x)
-                aqq = float(y @ y)
-                tau = (aqq - app) / (2.0 * c_pq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) \
-                    if tau != 0.0 else 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                xp = cs * x - sn * y
-                a[:, q] = sn * x + cs * y
-                a[:, p] = xp
-                xv = v[:, p].copy()
-                v[:, p] = cs * xv - sn * v[:, q]
-                v[:, q] = sn * xv + cs * v[:, q]
-        if off <= tol:
-            break
-
-    s = np.sqrt((a * a).sum(axis=0))
-    order = np.argsort(-s)
-    s = s[order]
-    a = a[:, order]
-    v = v[:, order]
-    u = np.empty_like(a)
-    smax = s[0] if s.size else 0.0
-    for j in range(d):
-        if s[j] > 1e-300 * max(1.0, smax):
-            u[:, j] = a[:, j] / s[j]
-        else:
-            u[:, j] = 0.0
-            u[j, j] = 1.0
-    return u, s, v.T
+def _svals(m, name):
+    return np.linalg.svd(_as_square_array(m, name), compute_uv=False)
 
 
 def singular_values(m):
     """Non-increasing singular values of a square matrix (d <= 64)."""
-    _, s, _ = jacobi_svd(m)
-    if isinstance(m, Tensor):
-        return Tensor(s)
-    return s
+    s = _svals(m, "singular_values")
+    return Tensor(s) if isinstance(m, Tensor) else s
 
 
 def condition_estimate(m):
     """sigma_max / sigma_min; inf for an exactly rank-deficient matrix."""
-    s = jacobi_svd(m)[1]
-    smin = s[-1] if s.size else 0.0
-    if smin == 0.0:
+    s = _svals(m, "condition_estimate")
+    if s[-1] == 0.0:
         return np.inf
-    return float(s[0] / smin)
+    return float(s[0] / s[-1])
 
 
 def matrix_inverse(m):
-    """Invert via Gauss-Jordan with partial pivoting.
+    """Inverse of a square matrix (d <= 64).
 
     Refuses matrices with condition estimate >= 1e10 so that the product
     check m @ inv(m) ~ I stays meaningful at float64.
@@ -119,19 +55,5 @@ def matrix_inverse(m):
         raise SingularMatrixError(
             f"matrix is numerically singular (condition ~ {cond:.3e})",
             condition=cond)
-    d = a.shape[0]
-    aug = np.hstack([a, np.eye(d)])
-    for col in range(d):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if aug[piv, col] == 0.0:
-            raise SingularMatrixError("zero pivot encountered", condition=cond)
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for r in range(d):
-            if r != col and aug[r, col] != 0.0:
-                aug[r] -= aug[r, col] * aug[col]
-    inv = aug[:, d:]
-    if isinstance(m, Tensor):
-        return Tensor(inv.astype(np.float64))
-    return inv
+    inv = np.linalg.inv(a)
+    return Tensor(inv) if isinstance(m, Tensor) else inv

@@ -25,6 +25,10 @@ from .errors import ConfigError, ShapeError
 from .linalg import matrix_inverse
 from .tensor import Tensor
 
+N_BLOCKS = 2     # mixer blocks per model
+N_EXPERTS = 4    # memories in the MoM mixer
+N_HEADS = 2      # heads of the transformer's attention
+
 
 # --------------------------------------------------------------------------
 # activation specs for the ideal solver
@@ -177,19 +181,16 @@ class MoMParams:
     w_q: list
     w_o: Tensor
 
-    n_experts: int = 4
-
     @classmethod
-    def init(cls, rng, d, dtype, n_experts=4):
+    def init(cls, rng, d, dtype):
         return cls(
-            w_router=_mat(rng, (d, n_experts), dtype),
-            b_router=T.zeros(n_experts, dtype=dtype, requires_grad=True),
-            w_g=[_mat(rng, (d, d), dtype) for _ in range(n_experts)],
-            w_k=[_mat(rng, (d, d), dtype) for _ in range(n_experts)],
-            w_v=[_mat(rng, (d, d), dtype) for _ in range(n_experts)],
-            w_q=[_mat(rng, (d, d), dtype) for _ in range(n_experts)],
+            w_router=_mat(rng, (d, N_EXPERTS), dtype),
+            b_router=T.zeros(N_EXPERTS, dtype=dtype, requires_grad=True),
+            w_g=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
+            w_k=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
+            w_v=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
+            w_q=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
             w_o=_mat(rng, (d, d), dtype),
-            n_experts=n_experts,
         )
 
     def params(self):
@@ -211,10 +212,9 @@ def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
     if squeeze:
         x = T.reshape(x, (1,) + x.data.shape)
     bsz, n, d = x.data.shape
-    e = p.n_experts
     weights = T.softmax(x @ p.w_router + p.b_router, axis=-1)  # (B, N, E)
     blended = None
-    for i in range(e):
+    for i in range(len(p.w_g)):
         gate = T.sigmoid(x @ p.w_g[i])
         out_i = gated_la_scan(gate, x @ p.w_k[i], x @ p.w_v[i], x @ p.w_q[i])
         w_i = T.reshape(weights[:, :, i], (bsz, n, 1))
@@ -230,13 +230,12 @@ class AttnParams:
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
-    n_heads: int = 2
 
     @classmethod
-    def init(cls, rng, d, dtype, n_heads=2):
-        if d % n_heads:
-            raise ConfigError(f"heads {n_heads} must divide d {d}")
-        return cls(*(_mat(rng, (d, d), dtype) for _ in range(4)), n_heads=n_heads)
+    def init(cls, rng, d, dtype):
+        if d % N_HEADS:
+            raise ConfigError(f"heads {N_HEADS} must divide d {d}")
+        return cls(*(_mat(rng, (d, d), dtype) for _ in range(4)))
 
     def params(self):
         yield from (self.w_q, self.w_k, self.w_v, self.w_o)
@@ -248,7 +247,7 @@ def causal_attention(x: Tensor, p: AttnParams, return_weights=False):
     if squeeze:
         x = T.reshape(x, (1,) + x.data.shape)
     bsz, n, d = x.data.shape
-    h = p.n_heads
+    h = N_HEADS
     hd = d // h
 
     def split(t):
@@ -318,30 +317,18 @@ class MixerBlockParams:
         return h + (z @ self.mlp_w2 + self.mlp_b2)
 
 
-def transformer_block_forward(x: Tensor, block: MixerBlockParams) -> Tensor:
-    """Pre-norm attention block: x + MHA(ln(x)), then + MLP(ln(.))."""
-    return block.forward(x)
-
-
 class ModelKind(enum.Enum):
     PRISM = "prism"
     LINEAR_ATTENTION = "la"
     MOM = "mom"
     TRANSFORMER = "transformer"
-    DELTA_RULE = "delta"      # verification oracle only
-    IDEAL_SOLVER = "ideal"    # verification oracle only
-
-    @classmethod
-    def trainable(cls):
-        return (cls.PRISM, cls.LINEAR_ATTENTION, cls.MOM, cls.TRANSFORMER)
 
     @classmethod
     def parse(cls, name):
         name = name.strip().lower()
         aliases = {"prism": cls.PRISM, "la": cls.LINEAR_ATTENTION,
                    "linear_attention": cls.LINEAR_ATTENTION, "mom": cls.MOM,
-                   "transformer": cls.TRANSFORMER, "trans": cls.TRANSFORMER,
-                   "delta": cls.DELTA_RULE, "ideal": cls.IDEAL_SOLVER}
+                   "transformer": cls.TRANSFORMER, "trans": cls.TRANSFORMER}
         if name not in aliases:
             raise ConfigError(f"unknown model kind: {name!r}")
         return aliases[name]
@@ -350,10 +337,8 @@ class ModelKind(enum.Enum):
 class SequenceModel:
     """Embedding -> 2 mixer blocks -> final layernorm -> untied head."""
 
-    def __init__(self, kind: ModelKind, d=16, vocab=64, n_ctx=128, depth=2,
-                 n_blocks=2, seed=0, dtype=np.float32):
-        if kind not in ModelKind.trainable():
-            raise ConfigError(f"{kind} is a verification oracle, not trainable")
+    def __init__(self, kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
+                 seed=0, dtype=np.float32):
         self.kind = kind
         self.d = d
         self.vocab = vocab
@@ -366,9 +351,9 @@ class SequenceModel:
         if kind is ModelKind.TRANSFORMER:
             self.pos = T.Tensor((rng.standard_normal((n_ctx, d)) * 0.5).astype(dtype),
                                 requires_grad=True)
-        self.cfg = PrismConfig(d=d, L=depth) if kind is ModelKind.PRISM else None
+        self.cfg = PrismConfig(d=d, L=L) if kind is ModelKind.PRISM else None
         self.blocks = []
-        for _ in range(n_blocks):
+        for _ in range(N_BLOCKS):
             if kind is ModelKind.PRISM:
                 blk = PrismBlockParams.init(rng, self.cfg, dtype=dtype)
             elif kind is ModelKind.LINEAR_ATTENTION:
@@ -429,8 +414,8 @@ class SequenceModel:
             p.data = arr.astype(p.data.dtype)
 
 
-def build_model(kind: ModelKind, d=16, vocab=64, n_ctx=128, depth=2,
+def build_model(kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
                 seed=0, dtype=np.float32) -> SequenceModel:
     """Construct a trainable model of the requested kind."""
-    return SequenceModel(kind, d=d, vocab=vocab, n_ctx=n_ctx, depth=depth,
+    return SequenceModel(kind, d=d, vocab=vocab, n_ctx=n_ctx, L=L,
                          seed=seed, dtype=dtype)

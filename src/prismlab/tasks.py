@@ -44,20 +44,16 @@ class VocabLayout:
         return self.named[name]
 
 
-def vocab_partition(v, seed=0):
+@functools.lru_cache(maxsize=None)
+def vocab_partition(v):
     """Split the vocabulary into disjoint noise / data / control ranges.
 
-    The split is a pure function of V (the seed argument is accepted for
-    interface stability and does not change the layout): data takes V//2
-    tokens, control takes the larger of V - V//4 - V//2 and the named-token
-    count, noise takes the rest. For V=64 this is [0,16) noise, [16,48)
-    data, [48,64) control.
+    The split is a pure function of V: data takes V//2 tokens, control
+    takes the larger of V - V//4 - V//2 and the named-token count, noise
+    takes the rest. For V=64 this is [0,16) noise, [16,48) data, [48,64)
+    control.
     """
-    return _vocab_partition_cached(int(v))
-
-
-@functools.lru_cache(maxsize=None)
-def _vocab_partition_cached(v):
+    v = int(v)
     if v < 32:
         raise ConfigError(f"vocabulary too small: {v} < 32")
     data_n = v // 2

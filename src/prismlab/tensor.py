@@ -203,11 +203,6 @@ def ones(shape, dtype=np.float64, requires_grad=False):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def randn(rng, shape, scale=1.0, dtype=np.float64, requires_grad=False):
-    arr = rng.standard_normal(shape) * scale
-    return Tensor(arr.astype(dtype), requires_grad=requires_grad)
-
-
 # -- arithmetic ---------------------------------------------------------
 
 def add(a, b):

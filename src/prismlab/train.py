@@ -1,4 +1,4 @@
-"""Training loop, evaluation, probe sweep, and throughput benchmark.
+"""Training loop, evaluation, and probe sweep.
 
 One run is fully determined by (config, seed): model init, the fresh
 batch drawn at every step, and the held-out evaluation set all derive
@@ -8,14 +8,12 @@ positions; accuracy is the exact-argmax match fraction.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .cell import PrismConfig, PrismParams, chunked_scan_forward, serial_forward
 from .config import MetricRecord, RunConfig
 from .errors import NumericError
 from .models import ModelKind, build_model
@@ -72,29 +70,30 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     """Train one (model, task, seed) cell and return its metric history.
 
     steps=0 evaluates the random initialization. A non-finite loss aborts
-    with the failing step index.
+    with the failing step index. ``tokens_per_s`` times only the forward
+    pass, the backward pass and the update: batch generation and the
+    evaluations behind each snapshot are left out.
     """
     kind = ModelKind.parse(cfg.model)
     task = TaskKind.parse(cfg.task)
     dtype = cfg.dtype()
-    model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, depth=cfg.l,
+    model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)
     tcfg = TaskConfig(n=cfg.n, v=cfg.v)
     opt = Adam(list(model.params()), lr=cfg.lr)
     run_id = f"{cfg.model}-{cfg.task}-s{seed}"
     history = []
     tokens_seen = 0
-    t0 = time.perf_counter()
+    train_s = 0.0
 
     def snapshot(step, train_loss):
-        elapsed = max(time.perf_counter() - t0, 1e-9)
         ev_loss, ev_acc = evaluate(model, task, tcfg, seed=[seed, 2],
                                    n_samples=eval_samples)
         rec = MetricRecord(run_id=run_id, model=cfg.model, task=cfg.task,
                            seed=seed, step=step,
                            loss=ev_loss if train_loss is None else train_loss,
                            accuracy=ev_acc,
-                           tokens_per_s=tokens_seen / elapsed)
+                           tokens_per_s=tokens_seen / max(train_s, 1e-9))
         history.append(rec)
         if log:
             log(f"{run_id} step {step:>6} loss {rec.loss:.4f} "
@@ -105,6 +104,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     for step in range(1, cfg.steps + 1):
         tokens, qpos, tgt = generate_batch(task, tcfg, cfg.batch,
                                            seed=[seed, 1, step])
+        t0 = time.perf_counter()
         logits = model.forward(tokens)
         loss = query_loss(logits, qpos, tgt)
         last_loss = loss.item()
@@ -113,6 +113,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
                                step=step)
         T.backward(loss)
         opt.step()
+        train_s += time.perf_counter() - t0
         tokens_seen += cfg.batch * cfg.n
         if step % eval_every == 0 and step < cfg.steps:
             snapshot(step, last_loss)
@@ -204,79 +205,4 @@ def probe_table_csv(table, models, tasks):
             cell = table.get((model, task))
             row.append(f"{cell['median']:.6g}" if cell else "")
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# throughput benchmark
-# --------------------------------------------------------------------------
-
-def _bench_once(fn, repeats=3):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def run_bench(lengths, models, batch=2, d=16, depth=2, repeats=3,
-              with_backward=False, seed=0):
-    """Wall-clock tokens/s per (model, N) at a fixed batch.
-
-    Models: 'prism_serial', 'prism_chunked' (forward path only), and
-    'transformer'. Returns a list of dict rows ordered by model then N.
-    """
-    if sorted(lengths) != list(lengths):
-        raise NumericError("bench lengths must be ascending")
-    rows = []
-    rng = np.random.default_rng(seed)
-    for model in models:
-        for n in lengths:
-            tokens_per_call = batch * n
-            if model in ("prism_serial", "prism_chunked"):
-                cfg = PrismConfig(d=d, L=depth)
-                params = PrismParams.init(rng, cfg, dtype=np.float32)
-                x = T.tensor(rng.standard_normal((batch, n, d)), dtype=np.float32)
-                if model == "prism_serial":
-                    if with_backward:
-                        def call():
-                            xg = T.Tensor(x.data, requires_grad=True)
-                            y, _ = serial_forward(xg, params, cfg)
-                            T.backward(y.sum())
-                    else:
-                        def call():
-                            with T.no_grad():
-                                serial_forward(x, params, cfg)
-                else:
-                    def call():
-                        chunked_scan_forward(x, params, cfg)
-            elif model == "transformer":
-                net = build_model(ModelKind.TRANSFORMER, d=d, vocab=64, n_ctx=n,
-                                  seed=1, dtype=np.float32)
-                toks = rng.integers(0, 64, (batch, n))
-                if with_backward:
-                    def call():
-                        loss = net.forward(toks).sum()
-                        T.backward(loss)
-                        T.zero_grad(list(net.params()))
-                else:
-                    def call():
-                        with T.no_grad():
-                            net.forward(toks)
-            else:
-                raise NumericError(f"unknown bench model {model!r}")
-            call()  # warmup
-            dt = _bench_once(call, repeats=repeats)
-            rows.append({"model": model, "n": n, "batch": batch,
-                         "tokens_per_s": tokens_per_call / dt,
-                         "per_token_us": dt / tokens_per_call * 1e6})
-    return rows
-
-
-def bench_csv(rows):
-    lines = ["model,n,batch,tokens_per_s,per_token_us"]
-    for r in rows:
-        lines.append(f"{r['model']},{r['n']},{r['batch']},"
-                     f"{r['tokens_per_s']:.6g},{r['per_token_us']:.6g}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
                            dense_transitions, prism_block_forward,
                            rank_accumulate, scale_into_unit_ball, scan_core,
                            serial_forward)
-from prismlab.errors import ConfigError, NumericError
+from prismlab.errors import ConfigError, NumericError, ShapeError
 from prismlab.linalg import singular_values
 from prismlab.tensor import Tensor
 
@@ -60,7 +60,7 @@ def naive_prism_rollout(x, params, cfg, s0=None):
         ks, ps, bs = [], [], []
         for l in range(cfg.L):
             kl = ut @ params.w_k[l].data
-            if l == 0 and cfg.normalize_k:
+            if l == 0:
                 kl = kl / max(1.0, float(np.linalg.norm(kl)))
             ks.append(kl)
             ps.append(ut @ params.w_p[l].data)
@@ -420,6 +420,38 @@ def test_chunked_carries_no_gradient():
     x = T.Tensor(rng.standard_normal((8, 4)), requires_grad=True)
     y, _ = chunked_scan_forward(x, params, cfg)
     assert not y.requires_grad
+
+
+def test_shared_initial_state_serial_matches_chunked():
+    cfg, params, rng = make({"d": 4, "chunk": 4}, seed=40)
+    x = T.tensor(rng.standard_normal((3, 10, 4)))
+    s0 = rng.standard_normal((4, 4))
+    y1, s1 = serial_forward(x, params, cfg, s0=T.tensor(s0))
+    y2, s2 = chunked_scan_forward(x, params, cfg, s0=T.tensor(s0))
+    assert np.abs(y1.data - y2.data).max() < 1e-12
+    assert np.abs(s1.data - s2.data).max() < 1e-12
+    per_sample = T.tensor(np.broadcast_to(s0, (3, 4, 4)).copy())
+    y3, _ = serial_forward(x, params, cfg, s0=per_sample)
+    np.testing.assert_array_equal(y1.data, y3.data)
+
+
+def test_shared_initial_state_gradient():
+    cfg, params, rng = make({"d": 3, "L": 1}, seed=41)
+    x = T.tensor(rng.standard_normal((2, 5, 3)))
+    w = T.tensor(rng.standard_normal((2, 5, 3)))
+    s0 = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    err = T.grad_check(lambda t: (serial_forward(x, params, cfg, s0=t)[0] * w).sum(), s0)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("forward", [serial_forward, chunked_scan_forward])
+def test_bad_shapes_raise_shape_error(forward):
+    cfg, params, rng = make({"d": 4}, seed=42)
+    with pytest.raises(ShapeError, match="config d"):
+        forward(T.tensor(rng.standard_normal((2, 8, 5))), params, cfg)
+    with pytest.raises(ShapeError, match="initial state"):
+        forward(T.tensor(rng.standard_normal((3, 8, 4))), params, cfg,
+                s0=T.tensor(np.zeros((2, 4, 4))))
 
 
 def test_state_independence_of_transition_pairs():

@@ -1,15 +1,14 @@
-"""Jacobi SVD and partial-pivot inverse against library-free contracts.
+"""Singular values, condition estimate and inverse against their contracts.
 
-The oracle side deliberately uses numpy's symmetric eigensolver (on
-m^T m), never numpy's own SVD path, so the two routes stay independent.
+The oracle side uses numpy's symmetric eigensolver on m^T m, a different
+route from the SVD under test, so the two stay independent.
 """
 
 import numpy as np
 import pytest
 
 from prismlab.errors import ShapeError, SingularMatrixError
-from prismlab.linalg import (condition_estimate, jacobi_svd, matrix_inverse,
-                             singular_values)
+from prismlab.linalg import condition_estimate, matrix_inverse, singular_values
 from prismlab.tensor import Tensor
 
 
@@ -41,23 +40,12 @@ def test_singular_values_nonincreasing():
         assert np.all(np.diff(s) <= 1e-12)
 
 
-def test_reconstruction():
-    rng = np.random.default_rng(3)
-    for d in (4, 16, 64):
-        m = rng.standard_normal((d, d))
-        u, s, vt = jacobi_svd(m)
-        rel = np.linalg.norm(m - (u * s) @ vt) / np.linalg.norm(m)
-        assert rel < 1e-10
-
-
-def test_reconstruction_rank_deficient():
+def test_rank_deficient_matrix():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 2))
-    m = a @ a.T  # rank 2
-    u, s, vt = jacobi_svd(m)
-    rel = np.linalg.norm(m - (u * s) @ vt) / np.linalg.norm(m)
-    assert rel < 1e-10
+    s = singular_values(a @ a.T)  # rank 2
     assert (s > 1e-10 * s[0]).sum() == 2
+    assert condition_estimate(a @ a.T) > 1e10
 
 
 def test_weyl_monotonicity():
@@ -75,8 +63,9 @@ def test_scalar_and_tensor_round_trip():
     s = singular_values(m)
     assert isinstance(s, Tensor)
     np.testing.assert_allclose(s.data, [3.0])
-    u, sv, vt = jacobi_svd(m)
-    np.testing.assert_allclose((u * sv) @ vt, [[-3.0]])
+    inv = matrix_inverse(m)
+    assert isinstance(inv, Tensor)
+    np.testing.assert_allclose(inv.data, [[-1.0 / 3.0]])
 
 
 def test_dimension_guard():

@@ -36,8 +36,8 @@ def test_vocab_partition_disjoint_cover():
 
 
 def test_vocab_partition_deterministic():
-    a = vocab_partition(64, seed=1)
-    b = vocab_partition(64, seed=2)
+    a = vocab_partition(64)
+    b = vocab_partition(64)
     assert a == b
 
 
