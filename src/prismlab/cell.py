@@ -3,19 +3,19 @@ decoupled linear recurrence.
 
 The state update is right-multiplicative,
 
-    S_t = alpha_t * (S_{t-1} - beta1_t (S_{t-1} k1_t) (x) k1_t) + B_t,
+    S_t = alpha_t * (S_{t-1} - beta1_t (S_{t-1} k1_t) (x) k1_t) + C_t K_t,
     y_t = OutProj(S_t q_t),
 
-with B_t a sum of L gated rank-1 outer products built from anchored
-residual refinement. Every transition operator depends only on the input
-prefix, never on the running state, which is what makes the chunked scan
-path legal.
+with the injection C_t K_t = sum_l c^(l)_t (x) k^(l)_t of rank at most L
+carried as its L factor pairs (only ``dense_transitions`` forms it
+densely). Every transition operator depends only on the input prefix,
+never on the running state, which is what makes the chunked scan legal.
 
 Two forward paths are provided: ``serial_forward`` (differentiable; the
-recurrence runs as one fused tape node with a hand-derived backward) and
-``chunked_scan_forward`` (forward-only; per-chunk local composition plus
-a sequential cross-chunk combine). They agree to float tolerance and are
-tested against each other.
+injection and the recurrence each run as one fused tape node with a
+hand-derived backward) and ``chunked_scan_forward`` (forward-only;
+per-chunk local composition plus a sequential cross-chunk combine). They
+agree to float tolerance and are tested against each other.
 """
 
 from __future__ import annotations
@@ -231,97 +231,101 @@ def compute_step_terms(u: Tensor, params: PrismParams, cfg: PrismConfig) -> Step
 # --------------------------------------------------------------------------
 
 def rank_accumulate(terms: StepTerms, v: Tensor, u: Tensor, cfg: PrismConfig):
-    """Build the injection B as a sum of L gated rank-1 components.
+    """The L columns of the injection, by anchored residual refinement.
 
     r^(1) = v - u; per layer: delta = GELU(p^(l) * r^(l)),
-    B += beta^(l) delta (x) k^(l), r^(l+1) = r^(l) - delta.
+    c^(l) = beta^(l) delta, r^(l+1) = r^(l) - delta. The injection
+    B = sum_l c^(l) (x) k^(l) stays factored, so the keys are no input here.
 
-    Returns (B, residuals) where B has shape (..., N, d, d) and residuals
-    are the L+1 tensors r^(1) .. r^(L+1). Runs as one fused tape node.
+    Returns (cs, residuals): the L columns, each (..., N, d), as one fused
+    tape node, and the L+1 residuals r^(1) .. r^(L+1), untaped.
     """
     L = cfg.L
-    ks = [terms.k[l] for l in range(L)]
-    ps = [terms.p[l] for l in range(L)]
-    bs = [terms.beta[l] for l in range(L)]
-    vd, ud = v.data, u.data
-    kd = [t.data for t in ks]
-    pd = [t.data for t in ps]
-    bd = [t.data for t in bs]
-
-    r = vd - ud
-    residuals = [r]
-    deltas, gders, rs = [], [], []
-    bacc = np.zeros(vd.shape + (vd.shape[-1],), dtype=vd.dtype)
+    ps, bs = terms.p[:L], terms.beta[:L]
+    pd, bd = [t.data for t in ps], [t.data for t in bs]
+    r = v.data - u.data
+    residuals, deltas, gders = [r], [], []
     for l in range(L):
         z = pd[l] * r
-        delta = T.gelu_fn(z).astype(vd.dtype, copy=False)
-        gders.append(T.gelu_deriv_fn(z).astype(vd.dtype, copy=False))
-        rs.append(r)
-        deltas.append(delta)
-        bacc += (bd[l][..., None] * delta)[..., :, None] * kd[l][..., None, :]
-        r = r - delta
+        deltas.append(T.gelu_fn(z).astype(r.dtype, copy=False))
+        gders.append(T.gelu_deriv_fn(z).astype(r.dtype, copy=False))
+        r = r - deltas[l]
         residuals.append(r)
+    cs = [bd[l][..., None] * deltas[l] for l in range(L)]
 
-    def back(g_b, *g_res):
-        grad = g_res[L].copy()  # d loss / d r^(L+1)
-        g_v = None
-        g_u = None
-        g_ks, g_ps, g_bs = [None] * L, [None] * L, [None] * L
+    def back(*g_cs):
+        grad = np.zeros_like(r)  # d loss / d r^(l+1); residuals are untaped
+        g_ps, g_bs = [None] * L, [None] * L
         for l in range(L - 1, -1, -1):
-            delta, gd, r_l = deltas[l], gders[l], rs[l]
-            c = bd[l][..., None] * np.einsum("...ij,...j->...i", g_b, kd[l])
-            g_bs[l] = np.einsum("...ij,...i,...j->...", g_b, delta, kd[l])
-            g_ks[l] = bd[l][..., None] * np.einsum("...ij,...i->...j", g_b, delta)
-            t_l = (c - grad) * gd
-            g_ps[l] = t_l * r_l
-            grad = grad + t_l * pd[l] + g_res[l]
-        g_v = grad
-        g_u = -grad
-        return (g_v, g_u, *g_ks, *g_ps, *g_bs)
+            g_bs[l] = (g_cs[l] * deltas[l]).sum(axis=-1)
+            t_l = (bd[l][..., None] * g_cs[l] - grad) * gders[l]
+            g_ps[l] = t_l * residuals[l]
+            grad = grad + t_l * pd[l]
+        return (grad, -grad, *g_ps, *g_bs)
 
-    outs = T.custom_op_multi((bacc, *residuals), (v, u, *ks, *ps, *bs), back)
-    return outs[0], list(outs[1:])
+    cs = T.custom_op_multi(cs, (v, u, *ps, *bs), back)
+    return list(cs), [Tensor(res) for res in residuals]
 
 
 # --------------------------------------------------------------------------
 # transitions and rollouts
 # --------------------------------------------------------------------------
 
-def build_transition(terms: StepTerms, b_t, batch=0, t=0) -> TransitionPair:
+def dense_transitions(terms: StepTerms, cs):
+    """Dense per-step (A, B) arrays, shape (B, N, d, d) each.
+
+    The only place the injection B_t = sum_l c_l (x) k_l is formed: the
+    training path carries it as the L factor pairs (``cs``, ``terms.k``).
+    """
+    k = terms.k[0].data
+    kk = k[..., :, None] * k[..., None, :]
+    eye = np.eye(k.shape[-1], dtype=k.dtype)
+    a = terms.alpha.data[..., None, None] * (eye - terms.beta[0].data[..., None, None] * kk)
+    b = np.zeros_like(a)
+    for c, k_l in zip(cs, terms.k):
+        b += c.data[..., :, None] * k_l.data[..., None, :]
+    return a, b
+
+
+def build_transition(terms: StepTerms, cs, batch=0, t=0) -> TransitionPair:
     """Materialize the transition pair of step ``t`` (analysis path)."""
-    b = b_t.data if isinstance(b_t, Tensor) else np.asarray(b_t)
-    if b.ndim == 4:
-        b = b[batch, t]
+    _, b = dense_transitions(terms, cs)
     return TransitionPair.from_structured(
         alpha=float(terms.alpha.data[batch, t]),
         beta=float(terms.beta[0].data[batch, t]),
         k=terms.k[0].data[batch, t],
-        b=b,
+        b=b[batch, t],
     )
 
 
-def scan_core(alpha: Tensor, beta1: Tensor, k1: Tensor, b: Tensor, q: Tensor,
+def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
               s0: Tensor):
     """Differentiable serial rollout (one fused tape node).
 
-    alpha, beta1: (B, N); k1, q: (B, N, d); b: (B, N, d, d); s0: (B, d, d).
+    alpha, beta1: (B, N); q and every ks[l], cs[l]: (B, N, d); s0: (B, d, d).
+    ks[0] is the forget key k1. Step t adds the injection as C_t K_t, with
+    the columns c_l in C_t (d x L) and the keys k_l as the rows of K_t.
     Returns (readout (B, N, d), s_n (B, d, d)) with readout_t = S_t q_t.
     Raises NumericError (with the step index) if the state goes non-finite.
     """
-    ad, bd = alpha.data, beta1.data
-    kd, qd, binj, s0d = k1.data, q.data, b.data, s0.data
-    bsz, n, d = kd.shape
+    if len(ks) != len(cs):
+        raise ShapeError(f"{len(ks)} injection keys for {len(cs)} columns")
+    ad, bd, qd, s0d = alpha.data, beta1.data, q.data, s0.data
+    kmat = np.stack([k.data for k in ks], axis=-2)   # (B, N, L, d)
+    cmat = np.stack([c.data for c in cs], axis=-1)   # (B, N, d, L)
+    bsz, n, d = qd.shape
     s_hist = np.empty((bsz, n + 1, d, d), dtype=s0d.dtype)
     m_hist = np.empty((bsz, n, d), dtype=s0d.dtype)
     out = np.empty((bsz, n, d), dtype=s0d.dtype)
     s = s0d.copy()
     s_hist[:, 0] = s
     for t in range(n):
-        kt = kd[:, t]
+        kt = kmat[:, t, 0]
         m = (s @ kt[:, :, None])[:, :, 0]
         m_hist[:, t] = m
         s = ad[:, t, None, None] * (s - bd[:, t, None, None]
-                                    * (m[:, :, None] * kt[:, None, :])) + binj[:, t]
+                                    * (m[:, :, None] * kt[:, None, :]))
+        s += cmat[:, t] @ kmat[:, t]
         if not np.isfinite(s).all():
             raise NumericError(f"state became non-finite at step {t}", step=t)
         s_hist[:, t + 1] = s
@@ -329,13 +333,10 @@ def scan_core(alpha: Tensor, beta1: Tensor, k1: Tensor, b: Tensor, q: Tensor,
 
     def back(g_out, g_sn):
         grad_s = g_sn.copy()
-        g_a = np.empty_like(ad)
-        g_b1 = np.empty_like(bd)
-        g_k = np.empty_like(kd)
-        g_q = np.empty_like(qd)
-        g_binj = np.empty_like(binj)
+        g_a, g_b1, g_q = np.empty_like(ad), np.empty_like(bd), np.empty_like(qd)
+        g_kmat, g_cmat = np.empty_like(kmat), np.empty_like(cmat)
         for t in range(n - 1, -1, -1):
-            kt = kd[:, t]
+            kt = kmat[:, t, 0]
             m = m_hist[:, t]
             s_prev = s_hist[:, t]
             st = s_hist[:, t + 1]
@@ -343,22 +344,24 @@ def scan_core(alpha: Tensor, beta1: Tensor, k1: Tensor, b: Tensor, q: Tensor,
             # readout_t = S_t q_t
             grad_s += go[:, :, None] * qd[:, t][:, None, :]
             g_q[:, t] = (np.swapaxes(st, 1, 2) @ go[:, :, None])[:, :, 0]
-            # S_t = a * (S_prev - b1 * m (x) k) + B_t
-            g_binj[:, t] = grad_s
+            # S_t = a * (S_prev - b1 * m (x) k1) + C_t K_t
+            g_cmat[:, t] = grad_s @ np.swapaxes(kmat[:, t], 1, 2)    # G K^T
+            g_kmat[:, t] = np.swapaxes(cmat[:, t], 1, 2) @ grad_s    # C^T G
             decayed = s_prev - bd[:, t, None, None] * (m[:, :, None] * kt[:, None, :])
             g_a[:, t] = (grad_s * decayed).sum(axis=(1, 2))
             at = ad[:, t, None]
-            w2 = (grad_s @ kt[:, :, None])[:, :, 0]            # G k
+            w2 = g_cmat[:, t, :, 0]                                  # G k1
             w1 = (np.swapaxes(grad_s, 1, 2) @ m[:, :, None])[:, :, 0]  # G^T m
             g_b1[:, t] = -(ad[:, t]) * (m * w2).sum(axis=1)
-            g_k[:, t] = -(at * bd[:, t, None]) * (
+            g_kmat[:, t, 0] -= (at * bd[:, t, None]) * (
                 (np.swapaxes(s_prev, 1, 2) @ w2[:, :, None])[:, :, 0] + w1)
-            # G_{t-1} = a * (G - b1 * (G k) (x) k)
+            # G_{t-1} = a * (G - b1 * (G k1) (x) k1)
             grad_s = ad[:, t, None, None] * (
                 grad_s - bd[:, t, None, None] * (w2[:, :, None] * kt[:, None, :]))
-        return g_a, g_b1, g_k, g_binj, g_q, grad_s
+        return (g_a, g_b1, *np.moveaxis(g_kmat, 2, 0), *np.moveaxis(g_cmat, 3, 0),
+                g_q, grad_s)
 
-    return T.custom_op_multi((out, s), (alpha, beta1, k1, b, q, s0), back)
+    return T.custom_op_multi((out, s), (alpha, beta1, *ks, *cs, q, s0), back)
 
 
 def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
@@ -375,26 +378,13 @@ def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
     s0 = _initial_state(s0, bsz, d, xb.data.dtype)
     u = compute_anchor(xb, params)
     terms = compute_step_terms(u, params, cfg)
-    b_inj, _ = rank_accumulate(terms, terms.v, u, cfg)
-    readout, s_n = scan_core(terms.alpha, terms.beta[0], terms.k[0],
-                             b_inj, terms.q, s0)
+    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    readout, s_n = scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, s0)
     y = readout @ params.w_o
     if not batched:
         y = T.reshape(y, (n, d))
         s_n = T.reshape(s_n, (d, d))
     return y, s_n
-
-
-def dense_transitions(terms: StepTerms, b_inj: Tensor):
-    """Dense per-step (A, B) arrays, shape (B, N, d, d) each."""
-    al = terms.alpha.data
-    be = terms.beta[0].data
-    k = terms.k[0].data
-    d = k.shape[-1]
-    eye = np.eye(d, dtype=k.dtype)
-    kk = k[..., :, None] * k[..., None, :]
-    a = al[..., None, None] * (eye - be[..., None, None] * kk)
-    return a, b_inj.data
 
 
 def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
@@ -414,19 +404,22 @@ def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
         s0d = _initial_state(s0, bsz, d, xb.data.dtype).data
         u = compute_anchor(xb, params)
         terms = compute_step_terms(u, params, cfg)
-        b_inj, _ = rank_accumulate(terms, terms.v, u, cfg)
-        a_all, b_all = dense_transitions(terms, b_inj)
+        cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+        a_all, b_all = dense_transitions(terms, cs)
 
         c = cfg.chunk
         n_chunks = (n + c - 1) // c
         pad = n_chunks * c - n
-        if pad:
-            eye = np.broadcast_to(np.eye(d, dtype=a_all.dtype), (bsz, pad, d, d))
-            a_all = np.concatenate([a_all, eye], axis=1)
-            b_all = np.concatenate([b_all, np.zeros((bsz, pad, d, d),
-                                                    dtype=b_all.dtype)], axis=1)
-        a_ch = a_all.reshape(bsz, n_chunks, c, d, d)
-        b_ch = b_all.reshape(bsz, n_chunks, c, d, d)
+
+        def chunked(arr, fill):
+            # (B, N, ...) -> (B, n_chunks, c, ...); padded steps are ``fill``.
+            if pad:
+                tail = np.broadcast_to(fill, (bsz, pad) + arr.shape[2:])
+                arr = np.concatenate([arr, tail.astype(arr.dtype)], axis=1)
+            return arr.reshape((bsz, n_chunks, c) + arr.shape[2:])
+
+        a_ch, b_ch = chunked(a_all, np.eye(d)), chunked(b_all, 0.0)
+        q_ch = chunked(terms.q.data, 0.0)
 
         # Local composition inside every chunk, all chunks at once.
         pa = np.broadcast_to(np.eye(d, dtype=a_all.dtype),
@@ -449,18 +442,12 @@ def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
             bounds[:, ci + 1] = run
 
         # Apply steps inside each chunk from its boundary state.
-        qd = terms.q.data
-        out = np.empty((bsz, n_chunks * c, d), dtype=a_all.dtype)
+        out = np.empty((bsz, n_chunks, c, d), dtype=a_all.dtype)
         s_run = bounds[:, :n_chunks].copy()
         for s in range(c):
             s_run = s_run @ a_ch[:, :, s] + b_ch[:, :, s]
-            idx = np.arange(n_chunks) * c + s
-            valid = idx[idx < n]
-            qs = np.zeros((bsz, n_chunks, d), dtype=qd.dtype)
-            qs[:, idx < n] = qd[:, valid]
-            out[:, idx] = (s_run @ qs[..., None])[..., 0]
-        out = out[:, :n]
-        y = out @ params.w_o.data
+            out[:, :, s] = (s_run @ q_ch[:, :, s, :, None])[..., 0]
+        y = out.reshape(bsz, n_chunks * c, d)[:, :n] @ params.w_o.data
         s_n = bounds[:, n_chunks]
         if not batched:
             y = y[0]

@@ -24,11 +24,13 @@ class UsageError(RuntimeError):
 
 
 class NumericError(ArithmeticError):
-    """A numeric invariant broke mid-computation (NaN/Inf, divergence)."""
+    """A numeric invariant broke mid-computation (NaN/Inf, divergence);
+    ``step`` and ``block`` say where, or are None when unknown."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+        self.block = None
 
 
 class SingularMatrixError(NumericError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .cell import PrismBlockParams, PrismConfig, prism_block_forward
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .linalg import matrix_inverse
 from .tensor import Tensor
 
@@ -394,11 +394,15 @@ class SequenceModel:
         x = T.embedding(self.embedding, tokens)
         if self.pos is not None:
             x = x + self.pos[:n]
-        for blk in self.blocks:
-            if self.kind is ModelKind.PRISM:
-                x = prism_block_forward(x, blk, self.cfg)
-            else:
-                x = blk.forward(x)
+        for idx, blk in enumerate(self.blocks):
+            try:
+                if self.kind is ModelKind.PRISM:
+                    x = prism_block_forward(x, blk, self.cfg)
+                else:
+                    x = blk.forward(x)
+            except NumericError as exc:
+                exc.block = idx
+                raise
         x = T.layernorm(x, self.lnf_g, self.lnf_b)
         return x @ self.head
 
@@ -407,7 +411,12 @@ class SequenceModel:
         return {f"p{idx}": p.data for idx, p in enumerate(self.params())}
 
     def load_state_dict(self, state):
-        for idx, p in enumerate(self.params()):
+        params = list(self.params())
+        want, got = {f"p{idx}" for idx in range(len(params))}, set(state)
+        if got != want:
+            raise ShapeError(f"checkpoint keys differ from the model's: missing "
+                             f"{sorted(want - got)}, unexpected {sorted(got - want)}")
+        for idx, p in enumerate(params):
             arr = state[f"p{idx}"]
             if arr.shape != p.data.shape:
                 raise ShapeError(f"checkpoint shape mismatch at p{idx}")

@@ -186,8 +186,11 @@ def test_rank_accumulate_zero_predictor():
     p = [np.zeros(shape) for _ in range(2)]
     beta = [np.full(shape[:2], 0.7) for _ in range(2)]
     terms = _terms_from_arrays(k, p, beta, u, v)
-    b, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-    np.testing.assert_array_equal(b.data, np.zeros(shape[:2] + (4, 4)))
+    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
+    for c in cs:
+        np.testing.assert_array_equal(c.data, np.zeros(shape))
+    np.testing.assert_array_equal(dense_transitions(terms, cs)[1],
+                                  np.zeros(shape[:2] + (4, 4)))
     for r in res:
         np.testing.assert_array_equal(r.data, v - u)
 
@@ -202,9 +205,10 @@ def test_rank_accumulate_asymptotic_linearity():
     k = [np.array([[[1.0, -1.0, 0.5]]])]
     beta = [np.array([[0.25]])]
     terms = _terms_from_arrays(k, p, beta, u, v)
-    b, _ = rank_accumulate(terms, terms.v, terms.u, cfg)
+    cs, _ = rank_accumulate(terms, terms.v, terms.u, cfg)
+    np.testing.assert_allclose(cs[0].data[0, 0], 0.25 * p[0][0, 0] * v[0, 0], rtol=1e-9)
     want = 0.25 * np.outer(p[0][0, 0] * v[0, 0], k[0][0, 0])
-    np.testing.assert_allclose(b.data[0, 0], want, rtol=1e-9)
+    np.testing.assert_allclose(dense_transitions(terms, cs)[1][0, 0], want, rtol=1e-9)
 
 
 def test_rank_accumulate_scalar_loop_oracle():
@@ -217,17 +221,21 @@ def test_rank_accumulate_scalar_loop_oracle():
     p = [rng.standard_normal(shape) for _ in range(2)]
     beta = [rng.uniform(0.1, 0.9, shape[:2]) for _ in range(2)]
     terms = _terms_from_arrays(k, p, beta, u, v)
-    b, res = rank_accumulate(terms, terms.v, terms.u, cfg)
+    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
+    _, b_dense = dense_transitions(terms, cs)
     for t in range(2):
         r = v[0, t] - u[0, t]
         want_b = np.zeros((4, 4))
+        got_b = np.zeros((4, 4))
         for l in range(2):
             delta = np.array([_gelu(p[l][0, t, i] * r[i]) for i in range(4)])
             for i in range(4):
                 for j in range(4):
                     want_b[i, j] += beta[l][0, t] * delta[i] * k[l][0, t, j]
+                    got_b[i, j] += cs[l].data[0, t, i] * k[l][0, t, j]
             r = r - delta
-        np.testing.assert_array_equal(b.data[0, t], want_b)
+        np.testing.assert_array_equal(got_b, want_b)
+        np.testing.assert_array_equal(b_dense[0, t], want_b)
         np.testing.assert_array_equal(res[-1].data[0, t], r)
 
 
@@ -235,26 +243,33 @@ def test_rank_accumulate_gradients():
     cfg = PrismConfig(d=3, L=2)
     rng = np.random.default_rng(7)
     shape = (1, 2, 3)
-    arrays = {name: rng.standard_normal(shape) for name in ("u", "v", "k0", "k1", "p0", "p1")}
-    betas = [rng.uniform(0.2, 0.8, shape[:2]) for _ in range(2)]
-    w = rng.standard_normal(shape[:2] + (3, 3))
+    arrays = {name: rng.standard_normal(shape) for name in ("u", "v", "p0", "p1")}
+    arrays.update({name: rng.uniform(0.2, 0.8, shape[:2]) for name in ("b0", "b1")})
+    w = [T.tensor(rng.standard_normal(shape)) for _ in range(2)]
 
     def build_loss(which):
         def f(x):
             vals = {n: T.tensor(a) for n, a in arrays.items()}
             vals[which] = x
-            terms = _terms_from_arrays([vals["k0"], vals["k1"]],
-                                       [vals["p0"], vals["p1"]],
-                                       betas, np.zeros(shape), np.zeros(shape))
-            terms.u = vals["u"]
-            terms.v = vals["v"]
-            b, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-            return (b * T.tensor(w)).sum() + (res[-1] * res[-1]).sum()
+            terms = _terms_from_arrays([np.zeros(shape)] * 2, [vals["p0"], vals["p1"]],
+                                       [vals["b0"], vals["b1"]], vals["u"], vals["v"])
+            cs, _ = rank_accumulate(terms, terms.v, terms.u, cfg)
+            return (cs[0] * w[0]).sum() + (cs[1] * w[1]).sum()
         return f
 
     for which in arrays:
         x = T.Tensor(arrays[which], requires_grad=True)
         assert T.grad_check(build_loss(which), x) < 1e-4, which
+
+
+def test_rank_accumulate_residuals_are_untaped():
+    cfg, params, rng = make({"d": 4, "L": 2}, seed=43)
+    x = T.tensor(rng.standard_normal((2, 5, 4)))
+    terms = compute_step_terms(compute_anchor(x, params), params, cfg)
+    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
+    assert all(c.requires_grad for c in cs)
+    assert not any(r.requires_grad for r in res)
+    np.testing.assert_array_equal(res[0].data, terms.v.data - terms.u.data)
 
 
 # ---------------------------------------------------------------- transitions
@@ -317,15 +332,77 @@ def test_compose_matches_sequential_steps():
 # ---------------------------------------------------------------- serial rollout
 
 def test_scan_core_frozen_state():
-    # alpha = 1, beta = 0, B = 0 freezes the state for every step.
+    # alpha = 1, beta = 0, c = 0 freezes the state for every step.
     rng = np.random.default_rng(12)
     bsz, n, d = 2, 6, 4
     s0 = T.tensor(rng.standard_normal((bsz, d, d)))
+    ks = [T.tensor(rng.standard_normal((bsz, n, d))) for _ in range(2)]
+    cs = [T.tensor(np.zeros((bsz, n, d))) for _ in range(2)]
     out, s_n = scan_core(T.tensor(np.ones((bsz, n))), T.tensor(np.zeros((bsz, n))),
-                         T.tensor(rng.standard_normal((bsz, n, d))),
-                         T.tensor(np.zeros((bsz, n, d, d))),
-                         T.tensor(rng.standard_normal((bsz, n, d))), s0)
+                         ks, cs, T.tensor(rng.standard_normal((bsz, n, d))), s0)
     np.testing.assert_array_equal(s_n.data, s0.data)
+
+
+def test_scan_core_rejects_unpaired_factors():
+    z = T.tensor(np.zeros((1, 3, 2)))
+    with pytest.raises(ShapeError, match="2 injection keys for 1 columns"):
+        scan_core(T.tensor(np.ones((1, 3))), T.tensor(np.zeros((1, 3))), [z, z], [z],
+                  z, T.tensor(np.zeros((1, 2, 2))))
+
+
+def test_scan_core_gradients_every_input():
+    rng = np.random.default_rng(44)
+    bsz, n, d = 2, 4, 3
+    arrays = {"alpha": rng.uniform(0.5, 1.0, (bsz, n)),
+              "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
+              "q": rng.standard_normal((bsz, n, d)),
+              "s0": rng.standard_normal((bsz, d, d))}
+    for l in range(2):
+        arrays[f"k{l}"] = rng.standard_normal((bsz, n, d)) * 0.5
+        arrays[f"c{l}"] = rng.standard_normal((bsz, n, d))
+    w_out = T.tensor(rng.standard_normal((bsz, n, d)))
+    w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
+
+    def build_loss(which):
+        def f(x):
+            a = {name: T.tensor(v) for name, v in arrays.items()}
+            a[which] = x
+            out, s_n = scan_core(a["alpha"], a["beta1"], [a["k0"], a["k1"]],
+                                 [a["c0"], a["c1"]], a["q"], a["s0"])
+            return (out * w_out).sum() + (s_n * w_sn).sum()
+        return f
+
+    for which in arrays:
+        x = T.Tensor(arrays[which], requires_grad=True)
+        assert T.grad_check(build_loss(which), x) < 1e-6, which
+
+
+def test_serial_forward_tapes_no_dense_injection(monkeypatch):
+    # The injection travels as L factor pairs: no tape node takes or gives
+    # a (B, N, d, d) array, and no backward returns one.
+    cfg, params, rng = make({"d": 4, "L": 2}, seed=45)
+    bsz, n, d = 2, 5, 4
+    dense = (bsz, n, d, d)
+    seen = []
+    record = T._record
+
+    def watch(out, inputs, back):
+        outs = out if isinstance(out, tuple) else (out,)
+        seen.extend(t.data.shape for t in outs + tuple(inputs))
+
+        def watched(*gs):
+            grads = back(*gs)
+            seen.extend(g.shape for g in grads if g is not None)
+            return grads
+        record(out, inputs, watched)
+
+    monkeypatch.setattr(T, "_record", watch)
+    for p in params.params():
+        p.grad = None
+    y, _ = serial_forward(T.tensor(rng.standard_normal((bsz, n, d))), params, cfg)
+    T.backward((y * y).sum())
+    assert params.w_p[1].grad is not None
+    assert seen and dense not in seen
 
 
 def test_serial_single_step_equals_transition():
@@ -335,8 +412,8 @@ def test_serial_single_step_equals_transition():
     y, s1 = serial_forward(T.tensor(x), params, cfg, s0=T.tensor(s0))
     u = compute_anchor(T.tensor(x.reshape(1, 1, 5)), params)
     terms = compute_step_terms(u, params, cfg)
-    b, _ = rank_accumulate(terms, terms.v, u, cfg)
-    pair = build_transition(terms, b)
+    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    pair = build_transition(terms, cs)
     want_s1 = pair.apply(s0)
     np.testing.assert_allclose(s1.data, want_s1, atol=1e-12)
     want_y = (want_s1 @ terms.q.data[0, 0]) @ params.w_o.data
@@ -358,11 +435,11 @@ def test_serial_forward_nan_reports_step():
     alpha = np.ones((bsz, n))
     beta = np.zeros((bsz, n))
     k = rng.standard_normal((bsz, n, d))
-    b = np.zeros((bsz, n, d, d))
-    b[0, 2] = np.inf
+    c = np.zeros((bsz, n, d))
+    c[0, 2] = np.inf
     q = rng.standard_normal((bsz, n, d))
-    with pytest.raises(NumericError) as exc:
-        scan_core(T.tensor(alpha), T.tensor(beta), T.tensor(k), T.tensor(b),
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        scan_core(T.tensor(alpha), T.tensor(beta), [T.tensor(k)], [T.tensor(c)],
                   T.tensor(q), T.tensor(np.zeros((bsz, d, d))))
     assert exc.value.step == 2
 
@@ -461,8 +538,8 @@ def test_state_independence_of_transition_pairs():
     x = T.tensor(rng.standard_normal((1, 10, 5)))
     u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
-    b, _ = rank_accumulate(terms, terms.v, u, cfg)
-    a1, b1 = dense_transitions(terms, b)
+    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    a1, b1 = dense_transitions(terms, cs)
 
     s0a = T.tensor(np.zeros((1, 5, 5)))
     s0b = T.tensor(rng.standard_normal((1, 5, 5)))
@@ -472,8 +549,8 @@ def test_state_independence_of_transition_pairs():
 
     u2 = compute_anchor(x, params)
     terms2 = compute_step_terms(u2, params, cfg)
-    b2, _ = rank_accumulate(terms2, terms2.v, u2, cfg)
-    a2, b2d = dense_transitions(terms2, b2)
+    cs2, _ = rank_accumulate(terms2, terms2.v, u2, cfg)
+    a2, b2d = dense_transitions(terms2, cs2)
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(b1, b2d)
 
@@ -496,16 +573,16 @@ def rollout_terms(cfg, params, n, rng):
     x = T.tensor(rng.standard_normal((1, n, cfg.d)))
     u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
-    b, _ = rank_accumulate(terms, terms.v, u, cfg)
-    return terms, b
+    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    return terms, cs
 
 
 def test_spectrum_analytic_and_numeric():
     cfg, params, rng = make(seed=22)
-    terms, b = rollout_terms(cfg, params, 50, rng)
-    a_dense, _ = dense_transitions(terms, b)
+    terms, cs = rollout_terms(cfg, params, 50, rng)
+    a_dense, _ = dense_transitions(terms, cs)
     for t in range(50):
-        pair = build_transition(terms, b, t=t)
+        pair = build_transition(terms, cs, t=t)
         analytic = np.sort(pair.structured_eigenvalues())
         numeric = np.sort(np.linalg.eigvalsh(a_dense[0, t]))
         np.testing.assert_allclose(analytic, numeric, atol=1e-8)
@@ -515,10 +592,10 @@ def test_spectrum_analytic_and_numeric():
 
 def test_rank_bound_and_typical_rank():
     cfg, params, rng = make(seed=23)  # d=16, L=2
-    _, b = rollout_terms(cfg, params, 60, rng)
+    _, b = dense_transitions(*rollout_terms(cfg, params, 60, rng))
     full = 0
     for t in range(60):
-        s = singular_values(b.data[0, t])
+        s = singular_values(b[0, t])
         numrank = int((s > 1e-8 * s[0]).sum()) if s[0] > 0 else 0
         assert numrank <= cfg.L
         full += numrank == cfg.L

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from prismlab import tensor as T
-from prismlab.errors import ConfigError, SingularMatrixError
+from prismlab.errors import (ConfigError, NumericError, ShapeError,
+                             SingularMatrixError)
 from prismlab.models import (Activation, AttnParams, LAParams, MixerBlockParams,
                              ModelKind, MoMParams, SequenceModel, build_model,
                              causal_attention, degenerate_closed_form,
@@ -385,6 +386,27 @@ def test_state_dict_round_trip():
     tokens = np.random.default_rng(6).integers(0, 16, (1, 8))
     np.testing.assert_array_equal(model.forward(tokens).data,
                                   other.forward(tokens).data)
+
+
+def test_load_state_dict_rejects_other_keys():
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8, seed=5)
+    state = dict(model.state_dict())
+    missing = {k: v for k, v in state.items() if k != "p3"}
+    with pytest.raises(ShapeError, match=r"missing \['p3'\]"):
+        model.load_state_dict(missing)
+    with pytest.raises(ShapeError, match=r"unexpected \['extra'\]"):
+        model.load_state_dict({**state, "extra": np.zeros(1)})
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_numeric_error_names_block_and_step(block):
+    model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=7)
+    model.blocks[block].prism.w_v.data[0, 0] = np.inf
+    tokens = np.random.default_rng(8).integers(0, 16, (2, 8))
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+        model.forward(tokens)
+    assert exc.value.block == block
+    assert exc.value.step == 0
 
 
 def test_la_mixer_matches_recurrence():

@@ -7,6 +7,7 @@ import pytest
 
 from prismlab import train
 from prismlab.config import RunConfig
+from prismlab.models import ModelKind, build_model
 from prismlab.errors import NumericError
 
 
@@ -54,3 +55,17 @@ def test_tokens_per_s_times_only_training(monkeypatch):
     tokens = cfg.steps * cfg.batch * cfg.n
     # Counting even one pause would cap the rate at tokens / pause.
     assert res.final.tokens_per_s > tokens / pause
+
+
+def test_snapshot_round_trip_of_trained_model(tmp_path):
+    cfg = small(model="prism", l=1)
+    res = train.run_training(cfg, 3, eval_samples=8)
+    path = tmp_path / "snap.npz"
+    train.save_snapshot(res.model, path)
+    fresh = build_model(ModelKind.PRISM, d=cfg.d, vocab=res.model.vocab,
+                        n_ctx=res.model.n_ctx, L=1, seed=99)
+    with np.load(path) as state:
+        fresh.load_state_dict(state)
+    tokens = np.random.default_rng(4).integers(0, res.model.vocab, (2, cfg.n))
+    np.testing.assert_array_equal(fresh.forward(tokens).data,
+                                  res.model.forward(tokens).data)
