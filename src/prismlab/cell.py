@@ -7,15 +7,21 @@ The state update is right-multiplicative,
     y_t = OutProj(S_t q_t),
 
 with the injection C_t K_t = sum_l c^(l)_t (x) k^(l)_t of rank at most L
-carried as its L factor pairs (only ``dense_transitions`` forms it
-densely). Every transition operator depends only on the input prefix,
-never on the running state, which is what makes the chunked scan legal.
+carried as its L factor pairs (only ``dense_transitions``, an analysis
+helper, forms it densely). Every transition operator depends only on the
+input prefix, never on the running state, which is what makes the chunked
+scan legal.
 
-Two forward paths are provided: ``serial_forward`` (differentiable; the
-injection and the recurrence each run as one fused tape node with a
-hand-derived backward) and ``chunked_scan_forward`` (forward-only;
-per-chunk local composition plus a sequential cross-chunk combine). They
-agree to float tolerance and are tested against each other.
+Both rollouts share the anchor, the step terms and the fused rank-L
+injection, and differ in the recurrence, one fused tape node with a
+hand-derived backward each:
+
+  * ``chunked_forward`` trains and evaluates. Its ``chunked_scan`` solves
+    each chunk of ``PrismConfig.chunk`` steps in WY form (chunkwise
+    DeltaNet with a scalar decay) and loops only over chunk boundaries.
+    ``chunked_scan_forward`` is the same rollout without the tape.
+  * ``serial_forward`` steps ``scan_core`` through all N steps. It is the
+    oracle the chunked path is tested against, in outputs and gradients.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ class TransitionPair:
     """One step of the linear recurrence, structurally and densely.
 
     Structured form: A = alpha * (I - beta * k k^T). The dense form is
-    materialized on demand and is what the scan composes.
+    materialized on demand, for analysis; no rollout composes it.
     """
 
     a: np.ndarray                 # (d, d)
@@ -364,13 +370,265 @@ def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
     return T.custom_op_multi((out, s), (alpha, beta1, *ks, *cs, q, s0), back)
 
 
-def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
-                   s0: Tensor | None = None):
-    """Differentiable PRISM rollout: anchor, terms, rank-L injection,
-    serial state recurrence, projected readout.
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
 
-    Returns (y, s_n); y matches the batched-ness of ``x``.
+
+def _unit_lower_inverse(m):
+    """(I + M)^-1 for strictly lower triangular M of shape (..., c, c), by
+    forward substitution, one row per step. The Neumann series of the same
+    inverse has terms up to C(c-1, c/2) in size when beta1 is near 1 and
+    the keys are aligned unit vectors, which float32 cannot sum."""
+    c = m.shape[-1]
+    inv = np.zeros_like(m)
+    inv[..., range(c), range(c)] = 1.0
+    for t in range(1, c):
+        inv[..., t, :t] = -(m[..., t, None, :t] @ inv[..., :t, :t])[..., 0, :]
+    return inv
+
+
+def _fold(x, c):
+    """Sum the blocks of width c along the last axis: the L write pairs."""
+    out = x[..., :c].copy()
+    for lo in range(c, x.shape[-1], c):
+        out += x[..., lo:lo + c]
+    return out
+
+
+def _chunked(arr, c):
+    """(B, N, ...) -> (B, ceil(N / c), c, ...), padded with zero steps."""
+    bsz, n = arr.shape[:2]
+    pad = -n % c
+    if pad:
+        arr = np.concatenate([arr, np.zeros((bsz, pad) + arr.shape[2:], arr.dtype)],
+                             axis=1)
+    return arr.reshape((bsz, (n + pad) // c, c) + arr.shape[2:])
+
+
+def _wy_inputs(la, b, ks, cs, q, c):
+    """Scan inputs as raw (B, N, ...) arrays, cut into M chunks of c steps.
+
+    The L injection pairs only widen the write side: keys and columns of a
+    chunk are stacked pair by pair into one (L c, d) block, forget key
+    first. Padded steps are identity steps (log alpha 0, all else 0).
     """
+    def wide(arrs):
+        stacked = np.stack([_chunked(a, c) for a in arrs], axis=2)  # (B, M, L, c, d)
+        bsz, n_ch, n_l, _, d = stacked.shape
+        return stacked.reshape(bsz, n_ch, n_l * c, d)
+    return _chunked(la, c), _chunked(b, c), wide(ks), wide(cs), _chunked(q, c)
+
+
+@dataclass
+class _Chunks:
+    """The parts of every chunk that do not depend on its start state S0.
+
+    With t a step of the chunk and (l, s) a write (pair l at step s):
+    e (B, M, c+1, c+1) holds the decay ratios e[t, s] = alpha_{s+1} ...
+    alpha_t for s <= t and zeros above the diagonal, index 0 being the
+    chunk start; gram and qk (B, M, c, L c) hold k1_t . k_l,s and
+    q_t . k_l,s; m and p (B, M, c, L c) hold beta1_t e[t, s] k1_t . k_l,s
+    for s < t and e[t, s] q_t . k_l,s for s <= t; tinv (B, M, c, c) is
+    (I + m_0)^-1, m_0 the block of the forget key. The erases are
+    W = u S0^T + tinv m C and the write values V = C - [W; 0] =
+    v_c - [u S0^T; 0]; with dk = diag(e[c, s]) K, the chunk's end state is
+    S0 a_ch + v_c^T dk.
+    """
+
+    e: np.ndarray
+    gram: np.ndarray
+    qk: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
+    tinv: np.ndarray
+    u: np.ndarray
+    v_c: np.ndarray
+    dk: np.ndarray
+    a_ch: np.ndarray
+
+
+def _chunk_terms(la, b, kw, cw, q) -> _Chunks:
+    """la, b: (B, M, c) log alpha and beta1; kw, cw: (B, M, L c, d) write
+    keys and columns; q: (B, M, c, d)."""
+    bsz, n_ch, c = la.shape
+    g = np.concatenate([np.zeros((bsz, n_ch, 1), la.dtype),
+                        np.cumsum(la, axis=-1)], axis=-1)
+    # Ratios as exp of differences of cumulative log alpha; the mask goes
+    # in before exp, so no entry above the diagonal overflows.
+    e = np.exp(np.where(np.tri(c + 1, dtype=bool),
+                        g[..., :, None] - g[..., None, :], -np.inf))
+    ei = e[..., 1:, 1:]
+    wide = (bsz, n_ch, c, kw.shape[2] // c, c)  # (t, l, s)
+    k1 = kw[:, :, :c]
+    gram = k1 @ _swap(kw)
+    qk = q @ _swap(kw)
+    strict = ei * np.tri(c, k=-1, dtype=ei.dtype)
+    m = (strict * b[..., None])[..., None, :] * gram.reshape(wide)
+    tinv = _unit_lower_inverse(m[..., 0, :])
+    m = m.reshape(gram.shape)
+    u = tinv @ ((b * e[..., 1:, 0])[..., None] * k1)
+    v_c = cw.copy()
+    v_c[:, :, :c] -= tinv @ (m @ cw)
+    dk = np.tile(e[..., c, 1:], kw.shape[2] // c)[..., None] * kw
+    a_ch = e[..., c, 0, None, None] * np.eye(q.shape[-1]) - _swap(u) @ dk[:, :, :c]
+    return _Chunks(e=e, gram=gram, qk=qk, m=m,
+                   p=(ei[..., None, :] * qk.reshape(wide)).reshape(qk.shape),
+                   tinv=tinv, u=u, v_c=v_c, dk=dk, a_ch=a_ch)
+
+
+def _wy_forward(la, b, kw, cw, q, s0):
+    """Readouts (B, M, c, d) and the M+1 chunk-boundary states (B, M+1,
+    d, d) of the chunked scan; see ``chunked_scan`` for the algebra."""
+    n_ch, c = la.shape[1:]
+    ch = _chunk_terms(la, b, kw, cw, q)
+    b_ch = _swap(ch.v_c) @ ch.dk
+    bounds = np.empty((s0.shape[0], n_ch + 1) + s0.shape[1:], dtype=s0.dtype)
+    bounds[:, 0] = s0
+    for j in range(n_ch):
+        bounds[:, j + 1] = bounds[:, j] @ ch.a_ch[:, j] + b_ch[:, j]
+    s_t = _swap(bounds[:, :n_ch])
+    v = ch.v_c
+    v[:, :, :c] -= ch.u @ s_t
+    return ch.e[..., 1:, 0, None] * (q @ s_t) + ch.p @ v, bounds
+
+
+def _first_non_finite_step(raw, readout, bounds, c):
+    """The step a non-finite chunked rollout reports. A non-finite input at
+    step t reaches every readout of t's chunk through the masked products
+    (0 * inf), so that chunk is run again one step per chunk."""
+    n = readout.shape[1]
+    bad = ~np.isfinite(readout).all(axis=(0, 2))
+    if not bad.any():
+        j = int((~np.isfinite(bounds[:, 1:]).all(axis=(0, 2, 3))).argmax())
+        return min((j + 1) * c, n) - 1
+    t = int(bad.argmax())
+    lo = t - t % c
+    la, b, ks, cs, q = raw
+    part = slice(lo, min(lo + c, n))
+    out, _ = _wy_forward(*_wy_inputs(la[:, part], b[:, part], [k[:, part] for k in ks],
+                                     [x[:, part] for x in cs], q[:, part], 1),
+                         bounds[:, lo // c])
+    bad = ~np.isfinite(out).all(axis=(0, 2, 3))
+    return lo + int(bad.argmax()) if bad.any() else t
+
+
+def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
+                 s0: Tensor, chunk: int):
+    """Differentiable chunked rollout in WY form (one fused tape node).
+
+    Takes the arguments of ``scan_core`` and computes what it computes,
+    ``chunk`` steps at a time. alpha must be >= 0 (it is a sigmoid gate).
+
+    Inside a chunk with start state S0 and decay ratios e[t, s] =
+    alpha_{s+1} ... alpha_t, the erase of step t is w_t = alpha_t beta1_t
+    S_{t-1} k1_t, and S_t = e[t, 0] S0 + sum_{s <= t} e[t, s]
+    (sum_l c_l,s (x) k_l,s - w_s (x) k1_s). The erases of a chunk solve
+    one unit lower triangular system (I + m_0) W = diag(beta1 e[:, 0])
+    K1 S0^T + sum_l m_l C_l, whose matrix depends only on the inputs. The
+    readouts and the end state are then masked (c x c) and (c x d)
+    products, affine in S0, so only the chunk-boundary states run in a
+    sequential loop. Ratios are exp of differences of cumulative log alpha;
+    alpha = 0 enters as the smallest normal float.
+
+    The backward is hand-derived. Between the passes it keeps only the
+    (B, N/c + 1, d, d) boundary states, and it recomputes the inside of
+    every chunk. Raises NumericError whose ``step`` is the first step with
+    a non-finite readout, or, if every readout is finite, the last step of
+    the first chunk whose end state is not.
+    """
+    if len(ks) != len(cs):
+        raise ShapeError(f"{len(ks)} injection keys for {len(cs)} columns")
+    bsz, n, d = q.data.shape
+    c = max(1, min(chunk, n))
+    raw = (np.log(np.maximum(alpha.data, np.finfo(q.data.dtype).tiny)), beta1.data,
+           [k.data for k in ks], [x.data for x in cs], q.data)
+    la, b, kw, cw, qm = _wy_inputs(*raw, c)
+    n_ch = la.shape[1]
+    out, bounds = _wy_forward(la, b, kw, cw, qm, s0.data)
+    readout = out.reshape(bsz, n_ch * c, d)[:, :n]
+    if not (np.isfinite(readout).all() and np.isfinite(bounds).all()):
+        step = _first_non_finite_step(raw, readout, bounds, c)
+        raise NumericError(f"readout or state became non-finite at step {step}",
+                           step=step)
+
+    def back(g_out, g_sn):
+        ch = _chunk_terms(la, b, kw, cw, qm)
+        e, gram, qk, m, p, tinv, u, v, dk = (
+            ch.e, ch.gram, ch.qk, ch.m, ch.p, ch.tinv, ch.u, ch.v_c, ch.dk)
+        n_l = kw.shape[2] // c
+        wide = (bsz, n_ch, c, n_l, c)
+        gam, ei = e[..., 1:, 0], e[..., 1:, 1:]
+        k1 = kw[:, :, :c]
+        s_start = bounds[:, :n_ch]
+        s_t = _swap(s_start)
+        v[:, :, :c] -= u @ s_t
+        w = cw[:, :, :c] - v[:, :, :c]
+        d_o = _chunked(g_out, c)
+
+        # Gradients of the boundary states, one (d x d) step per chunk:
+        # G_j = G_{j+1} a_ch^T + dO^T (gam Q - p_0 u).
+        g_bound = _swap(d_o) @ (gam[..., None] * qm - p[..., :c] @ u)
+        g_end = np.empty_like(bounds[:, 1:])
+        grad = g_sn
+        for j in range(n_ch - 1, -1, -1):
+            g_end[:, j] = grad
+            grad = grad @ _swap(ch.a_ch[:, j]) + g_bound[:, j]
+
+        # out = diag(gam) Q S0^T + p V
+        d_gam = (d_o * (qm @ s_t)).sum(axis=-1)
+        d_q = gam[..., None] * (d_o @ s_start)
+        d_p = d_o @ _swap(v)
+        d_v = _swap(p) @ d_o
+        # end = e[c, 0] S0 + V^T dk, dk = diag(e[c, s]) K
+        d_gc = (g_end * s_start).sum(axis=(-1, -2))
+        d_v += dk @ _swap(g_end)
+        vg = v @ g_end
+        d_k = np.tile(e[..., c, 1:], n_l)[..., None] * vg
+        d_dlt = _fold((vg * kw).sum(axis=-1), c)
+        # V = C - [W; 0], W = tinv X, X = diag(beta1 gam) K1 S0^T + m C
+        d_x = _swap(tinv) @ -d_v[:, :, :c]
+        d_bg = (d_x * (k1 @ s_t)).sum(axis=-1)
+        d_b, d_gam = d_bg * gam, d_gam + d_bg * b
+        d_k[:, :, :c] += (b * gam)[..., None] * (d_x @ s_start)
+        d_m = d_x @ _swap(cw)
+        d_m[..., :c] -= d_x @ _swap(w)                # through tinv
+        d_c = d_v + _swap(m) @ d_x
+        # m = beta1_t e[t, s] gram (s < t), p = e[t, s] qk (s <= t)
+        strict = ei * np.tri(c, k=-1, dtype=ei.dtype)
+        dm_g = _fold(d_m * gram, c)
+        d_b += (dm_g * strict).sum(axis=-1)
+        d_gram = d_m.reshape(wide) * (strict * b[..., None])[..., None, :]
+        d_gram = d_gram.reshape(gram.shape)
+        d_qk = (d_p.reshape(wide) * ei[..., None, :]).reshape(qk.shape)
+        d_k[:, :, :c] += d_gram @ kw
+        d_k += _swap(d_gram) @ k1 + _swap(d_qk) @ qm
+        d_q += d_qk @ kw
+        # d e[t, s] / d alpha_j = e[t, j] e[j-1, s] for s < j <= t: no
+        # division by alpha, so alpha = 0 has its true gradient. Entries of
+        # d_e on and above the diagonal meet zeros of e.
+        d_e = np.zeros_like(e)
+        d_e[..., 1:, 1:] = b[..., None] * dm_g + _fold(d_p * qk, c)
+        d_e[..., 1:, 0] += d_gam
+        d_e[..., c, 1:] += d_dlt
+        d_e[..., c, 0] += d_gc
+        d_a = ((_swap(e) @ d_e)[..., 1:, :] * e[..., :-1, :]).sum(axis=-1)
+
+        def unchunk(arr):
+            return arr.reshape((bsz, n_ch * c) + arr.shape[3:])[:, :n]
+
+        def pairs(arr):
+            return [unchunk(arr[:, :, l * c:(l + 1) * c]) for l in range(n_l)]
+
+        return (unchunk(d_a), unchunk(d_b), *pairs(d_k), *pairs(d_c),
+                unchunk(d_q), grad)
+
+    return T.custom_op_multi((readout, bounds[:, n_ch]),
+                             (alpha, beta1, *ks, *cs, q, s0), back)
+
+
+def _rollout(x: Tensor, params: PrismParams, cfg: PrismConfig, s0, scan):
+    """Anchor, terms, rank-L injection, then ``scan`` and the projected
+    readout. Returns (y, s_n); y matches the batched-ness of ``x``."""
     xb, batched = _batched(x)
     bsz, n, d = xb.data.shape
     if d != cfg.d:
@@ -379,7 +637,7 @@ def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
     u = compute_anchor(xb, params)
     terms = compute_step_terms(u, params, cfg)
     cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-    readout, s_n = scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, s0)
+    readout, s_n = scan(terms.alpha, terms.beta[0], terms.k, cs, terms.q, s0)
     y = readout @ params.w_o
     if not batched:
         y = T.reshape(y, (n, d))
@@ -387,72 +645,35 @@ def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
     return y, s_n
 
 
+def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
+                   s0: Tensor | None = None):
+    """Differentiable PRISM rollout through the N-step ``scan_core``: the
+    test oracle of ``chunked_forward``.
+
+    Returns (y, s_n); y matches the batched-ness of ``x``.
+    """
+    return _rollout(x, params, cfg, s0, scan_core)
+
+
+def chunked_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
+                    s0: Tensor | None = None):
+    """Differentiable PRISM rollout through ``chunked_scan`` with chunks of
+    ``cfg.chunk`` steps: the path that trains and evaluates. Agrees with
+    ``serial_forward`` in outputs, final state and every gradient to float
+    tolerance.
+
+    Returns (y, s_n); y matches the batched-ness of ``x``.
+    """
+    return _rollout(x, params, cfg, s0,
+                    lambda *args: chunked_scan(*args, chunk=cfg.chunk))
+
+
 def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
                          s0: Tensor | None = None):
-    """Forward-only rollout via chunked prefix composition.
-
-    Per-step pairs are computed state-free, composed locally inside each
-    chunk (vectorized across chunks), combined sequentially across chunk
-    boundaries, then applied within chunks. Matches ``serial_forward`` to
-    float tolerance; carries no gradient.
-    """
+    """``chunked_forward`` without the tape: records no node and carries no
+    gradient, even when the parameters require one."""
     with T.no_grad():
-        xb, batched = _batched(x)
-        bsz, n, d = xb.data.shape
-        if d != cfg.d:
-            raise ShapeError(f"input channel {d} != config d {cfg.d}")
-        s0d = _initial_state(s0, bsz, d, xb.data.dtype).data
-        u = compute_anchor(xb, params)
-        terms = compute_step_terms(u, params, cfg)
-        cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-        a_all, b_all = dense_transitions(terms, cs)
-
-        c = cfg.chunk
-        n_chunks = (n + c - 1) // c
-        pad = n_chunks * c - n
-
-        def chunked(arr, fill):
-            # (B, N, ...) -> (B, n_chunks, c, ...); padded steps are ``fill``.
-            if pad:
-                tail = np.broadcast_to(fill, (bsz, pad) + arr.shape[2:])
-                arr = np.concatenate([arr, tail.astype(arr.dtype)], axis=1)
-            return arr.reshape((bsz, n_chunks, c) + arr.shape[2:])
-
-        a_ch, b_ch = chunked(a_all, np.eye(d)), chunked(b_all, 0.0)
-        q_ch = chunked(terms.q.data, 0.0)
-
-        # Local composition inside every chunk, all chunks at once.
-        pa = np.broadcast_to(np.eye(d, dtype=a_all.dtype),
-                             (bsz, n_chunks, d, d)).copy()
-        pb = np.zeros((bsz, n_chunks, d, d), dtype=a_all.dtype)
-        for s in range(c):
-            a_s = a_ch[:, :, s]
-            pa = pa @ a_s
-            pb = pb @ a_s + b_ch[:, :, s]
-
-        # Sequential combine across chunk boundaries (order preserved).
-        bounds = np.empty((bsz, n_chunks + 1, d, d), dtype=a_all.dtype)
-        bounds[:, 0] = s0d
-        run = s0d
-        for ci in range(n_chunks):
-            run = run @ pa[:, ci] + pb[:, ci]
-            if not np.isfinite(run).all():
-                raise NumericError(
-                    f"state became non-finite in chunk {ci}", step=ci * c)
-            bounds[:, ci + 1] = run
-
-        # Apply steps inside each chunk from its boundary state.
-        out = np.empty((bsz, n_chunks, c, d), dtype=a_all.dtype)
-        s_run = bounds[:, :n_chunks].copy()
-        for s in range(c):
-            s_run = s_run @ a_ch[:, :, s] + b_ch[:, :, s]
-            out[:, :, s] = (s_run @ q_ch[:, :, s, :, None])[..., 0]
-        y = out.reshape(bsz, n_chunks * c, d)[:, :n] @ params.w_o.data
-        s_n = bounds[:, n_chunks]
-        if not batched:
-            y = y[0]
-            s_n = s_n[0]
-        return Tensor(y), Tensor(s_n)
+        return chunked_forward(x, params, cfg, s0)
 
 
 # --------------------------------------------------------------------------
@@ -503,8 +724,8 @@ class PrismBlockParams:
 
 def prism_block_forward(x: Tensor, block: PrismBlockParams, cfg: PrismConfig) -> Tensor:
     """Pre-normalized residual block: mixer then a gelu MLP (hidden 4d)."""
-    mixed, _ = serial_forward(T.layernorm(x, block.ln1_g, block.ln1_b),
-                              block.prism, cfg)
+    mixed, _ = chunked_forward(T.layernorm(x, block.ln1_g, block.ln1_b),
+                               block.prism, cfg)
     h = x + mixed
     z = T.layernorm(h, block.ln2_g, block.ln2_b)
     z = T.gelu(z @ block.mlp_w1 + block.mlp_b1)

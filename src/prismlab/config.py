@@ -10,15 +10,12 @@ the wall-clock ``tokens_per_s``.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
 CSV_HEADER = ("run_id", "model", "task", "seed", "step", "loss",
               "accuracy", "tokens_per_s")
-
-ENV_OUT = "PRISM_LAB_OUT"
 
 
 @dataclass
@@ -53,9 +50,6 @@ class RunConfig:
     def dtype(self):
         import numpy as np
         return np.float32 if self.precision == "f32" else np.float64
-
-    def resolve_out_dir(self):
-        return os.environ.get(ENV_OUT, self.out_dir)
 
 
 def load_config(path) -> RunConfig:
@@ -119,9 +113,8 @@ class MetricRecord:
 
 def write_metrics(records, path):
     """Append records, creating the header only for a new/empty file."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a") as fh:
-        if fresh:
+        if fh.tell() == 0:
             fh.write(",".join(CSV_HEADER) + "\n")
         for rec in records:
             fh.write(rec.to_row() + "\n")

@@ -126,6 +126,27 @@ def queries_per_sample(kind: TaskKind, cfg: TaskConfig) -> int:
     return cfg.kv_pairs if kind is TaskKind.MQAR else 1
 
 
+# Sizes of the contiguous payload groups each generator places, in order.
+_GROUP_SIZES = {
+    TaskKind.MQAR: lambda cfg: [2] * (2 * cfg.kv_pairs),
+    TaskKind.POLY_RECALL: lambda cfg: [3, 3, 3],
+    TaskKind.VAR_TRACKING: lambda cfg: [2] * (cfg.chain_len + 1),
+    TaskKind.LOCAL_XOR: lambda cfg: [3],
+    TaskKind.PARITY: lambda cfg: [cfg.bits + 1],
+    TaskKind.MODULO_ADD: lambda cfg: [3],
+    TaskKind.PALINDROME: lambda cfg: [4],
+    TaskKind.SILENCE_GATE: lambda cfg: [3, 2],
+    TaskKind.MUX: lambda cfg: [4],
+}
+
+
+def min_length(kind: TaskKind, cfg: TaskConfig) -> int:
+    """Shortest N that holds the task's payload groups with one gap token
+    between consecutive groups."""
+    sizes = _GROUP_SIZES[kind](cfg)
+    return sum(sizes) + len(sizes) - 1
+
+
 # --------------------------------------------------------------------------
 # placement
 # --------------------------------------------------------------------------
@@ -189,8 +210,7 @@ def gen_mqar(cfg: TaskConfig, index=0) -> TaskSample:
     vals = payload.choice(np.asarray(layout.data), size=k, replace=True)
     stmt_order = payload.permutation(k)
     query_order = payload.permutation(k)
-    sizes = [2] * k + [2] * k
-    starts = _place_groups(payload, cfg.n, sizes)
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MQAR](cfg))
     for slot, pair in enumerate(stmt_order):
         _write(tokens, starts[slot], [keys[pair], vals[pair]])
     qpos, tgt = [], []
@@ -211,7 +231,7 @@ def gen_poly_recall(cfg: TaskConfig, index=0) -> TaskSample:
     v1, v2 = payload.choice(np.asarray(layout.data), size=2, replace=False)
     ctx = [layout.token("CTX_A"), layout.token("CTX_B")]
     stmt_order = payload.permutation(2)
-    starts = _place_groups(payload, cfg.n, [3, 3, 3])
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.POLY_RECALL](cfg))
     values = [v1, v2]
     for slot, which in enumerate(stmt_order):
         _write(tokens, starts[slot], [ctx[which], key, values[which]])
@@ -229,7 +249,7 @@ def gen_var_tracking(cfg: TaskConfig, index=0) -> TaskSample:
     m = cfg.chain_len
     picks = payload.choice(np.asarray(layout.data), size=m + 1, replace=False)
     chain, value = picks[:m], picks[m]
-    starts = _place_groups(payload, cfg.n, [2] * m + [2])
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.VAR_TRACKING](cfg))
     _write(tokens, starts[0], [chain[0], value])
     for i in range(1, m):
         _write(tokens, starts[i], [chain[i], chain[i - 1]])
@@ -248,7 +268,7 @@ def gen_local_xor(cfg: TaskConfig, index=0) -> TaskSample:
     payload, noise = _rngs(cfg, 4, index)
     tokens = _base_sequence(cfg, noise, layout)
     a, b = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, [3])
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.LOCAL_XOR](cfg))
     _write(tokens, s, [a, b, layout.token("TOK_XOR")])
     label = int((a % 2) != (b % 2))
     return TaskSample(tokens, np.asarray([s + 2]),
@@ -261,7 +281,7 @@ def gen_parity(cfg: TaskConfig, index=0) -> TaskSample:
     payload, noise = _rngs(cfg, 5, index)
     tokens = _base_sequence(cfg, noise, layout)
     bits = payload.integers(0, 2, size=cfg.bits)
-    (s,) = _place_groups(payload, cfg.n, [cfg.bits + 1])
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PARITY](cfg))
     group = [_bit_token(layout, b) for b in bits] + [layout.token("QUERY")]
     _write(tokens, s, group)
     label = int(bits.sum() % 2)
@@ -276,7 +296,7 @@ def gen_modulo_add(cfg: TaskConfig, index=0) -> TaskSample:
     tokens = _base_sequence(cfg, noise, layout)
     m = cfg.modulus
     a, b = payload.integers(0, m, size=2)
-    (s,) = _place_groups(payload, cfg.n, [3])
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MODULO_ADD](cfg))
     _write(tokens, s, [layout.data.start + a, layout.data.start + b,
                        layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 2]),
@@ -295,7 +315,7 @@ def gen_palindrome(cfg: TaskConfig, index=0) -> TaskSample:
         c = a
     else:
         c = payload.choice(data[data != a])
-    (s,) = _place_groups(payload, cfg.n, [4])
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PALINDROME](cfg))
     _write(tokens, s, [a, b, c, layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 3]),
                       np.asarray([_bit_token(layout, int(a == c))]))
@@ -309,7 +329,7 @@ def gen_silence_gate(cfg: TaskConfig, index=0) -> TaskSample:
     on = bool(payload.integers(0, 2))
     trig = layout.token("ON") if on else layout.token("OFF")
     key, val = payload.choice(np.asarray(layout.data), size=2, replace=False)
-    starts = _place_groups(payload, cfg.n, [3, 2])
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.SILENCE_GATE](cfg))
     _write(tokens, starts[0], [trig, key, val])
     s = starts[1]
     _write(tokens, s, [layout.token("QUERY"), key])
@@ -324,7 +344,7 @@ def gen_mux(cfg: TaskConfig, index=0) -> TaskSample:
     tokens = _base_sequence(cfg, noise, layout)
     sel = int(payload.integers(0, 2))
     ch = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, [4])
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MUX](cfg))
     sel_tok = layout.token("SEL1") if sel else layout.token("SEL0")
     _write(tokens, s, [sel_tok, ch[0], ch[1], layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 3]), np.asarray([ch[sel]]))

@@ -107,9 +107,6 @@ class Tensor:
     def numpy(self):
         return self.data
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self):
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import tensor as T
 from .config import MetricRecord, RunConfig
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .models import ModelKind, build_model
 from .optim import Adam
-from .tasks import TaskConfig, TaskKind, generate_batch
+from .tasks import TaskConfig, TaskKind, generate_batch, min_length
 
 EVAL_EVERY = 1000
 EVAL_SAMPLES = 1024
@@ -69,17 +69,21 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
                  eval_samples=EVAL_SAMPLES) -> TrainResult:
     """Train one (model, task, seed) cell and return its metric history.
 
-    steps=0 evaluates the random initialization. A non-finite loss aborts
-    with the failing step index. ``tokens_per_s`` times only the forward
+    steps=0 evaluates the random initialization. An ``n`` too short for
+    the task's payload raises ConfigError before the model is built. A
+    non-finite loss aborts with the failing step index. ``tokens_per_s`` times only the forward
     pass, the backward pass and the update: batch generation and the
     evaluations behind each snapshot are left out.
     """
     kind = ModelKind.parse(cfg.model)
     task = TaskKind.parse(cfg.task)
+    tcfg = TaskConfig(n=cfg.n, v=cfg.v)
+    need = min_length(task, tcfg)
+    if cfg.n < need:
+        raise ConfigError(f"task {task.value!r} needs n >= {need}, got n = {cfg.n}")
     dtype = cfg.dtype()
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)
-    tcfg = TaskConfig(n=cfg.n, v=cfg.v)
     opt = Adam(list(model.params()), lr=cfg.lr)
     run_id = f"{cfg.model}-{cfg.task}-s{seed}"
     history = []

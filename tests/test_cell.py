@@ -9,11 +9,11 @@ import pytest
 from prismlab import tensor as T
 from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
                            StepTerms, TransitionPair, build_transition,
-                           chunked_scan_forward, compose_transitions,
-                           compute_anchor, compute_step_terms,
-                           dense_transitions, prism_block_forward,
-                           rank_accumulate, scale_into_unit_ball, scan_core,
-                           serial_forward)
+                           chunked_forward, chunked_scan, chunked_scan_forward,
+                           compose_transitions, compute_anchor,
+                           compute_step_terms, dense_transitions,
+                           prism_block_forward, rank_accumulate,
+                           scale_into_unit_ball, scan_core, serial_forward)
 from prismlab.errors import ConfigError, NumericError, ShapeError
 from prismlab.linalg import singular_values
 from prismlab.tensor import Tensor
@@ -350,16 +350,21 @@ def test_scan_core_rejects_unpaired_factors():
                   z, T.tensor(np.zeros((1, 2, 2))))
 
 
-def test_scan_core_gradients_every_input():
-    rng = np.random.default_rng(44)
-    bsz, n, d = 2, 4, 3
+def _scan_arrays(rng, bsz, n, d, L):
     arrays = {"alpha": rng.uniform(0.5, 1.0, (bsz, n)),
               "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
               "q": rng.standard_normal((bsz, n, d)),
               "s0": rng.standard_normal((bsz, d, d))}
-    for l in range(2):
+    for l in range(L):
         arrays[f"k{l}"] = rng.standard_normal((bsz, n, d)) * 0.5
         arrays[f"c{l}"] = rng.standard_normal((bsz, n, d))
+    return arrays
+
+
+def test_scan_core_gradients_every_input():
+    rng = np.random.default_rng(44)
+    bsz, n, d = 2, 4, 3
+    arrays = _scan_arrays(rng, bsz, n, d, 2)
     w_out = T.tensor(rng.standard_normal((bsz, n, d)))
     w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
 
@@ -377,12 +382,9 @@ def test_scan_core_gradients_every_input():
         assert T.grad_check(build_loss(which), x) < 1e-6, which
 
 
-def test_serial_forward_tapes_no_dense_injection(monkeypatch):
-    # The injection travels as L factor pairs: no tape node takes or gives
-    # a (B, N, d, d) array, and no backward returns one.
-    cfg, params, rng = make({"d": 4, "L": 2}, seed=45)
-    bsz, n, d = 2, 5, 4
-    dense = (bsz, n, d, d)
+def _taped_shapes(monkeypatch, forward, cfg, params, x):
+    """Shapes of every tape input and output of one forward pass, and of
+    every gradient its backward returns."""
     seen = []
     record = T._record
 
@@ -399,10 +401,41 @@ def test_serial_forward_tapes_no_dense_injection(monkeypatch):
     monkeypatch.setattr(T, "_record", watch)
     for p in params.params():
         p.grad = None
-    y, _ = serial_forward(T.tensor(rng.standard_normal((bsz, n, d))), params, cfg)
+    y, _ = forward(T.tensor(x), params, cfg)
     T.backward((y * y).sum())
     assert params.w_p[1].grad is not None
-    assert seen and dense not in seen
+    return seen
+
+
+def test_serial_forward_tapes_no_dense_injection(monkeypatch):
+    # The injection travels as L factor pairs: no tape node takes or gives
+    # a (B, N, d, d) array, and no backward returns one.
+    cfg, params, rng = make({"d": 4, "L": 2}, seed=45)
+    bsz, n, d = 2, 5, 4
+    seen = _taped_shapes(monkeypatch, serial_forward, cfg, params,
+                         rng.standard_normal((bsz, n, d)))
+    assert seen and (bsz, n, d, d) not in seen
+
+
+def test_chunked_forward_tapes_no_state_history(monkeypatch):
+    # Neither the per-step injection nor a per-step state history
+    # (B, N+1, d, d) passes through the tape of the chunked path.
+    cfg, params, rng = make({"d": 4, "L": 2, "chunk": 4}, seed=45)
+    bsz, n, d = 2, 10, 4
+    seen = _taped_shapes(monkeypatch, chunked_forward, cfg, params,
+                         rng.standard_normal((bsz, n, d)))
+    assert seen
+    assert (bsz, n, d, d) not in seen and (bsz, n + 1, d, d) not in seen
+
+
+def test_chunked_scan_forward_records_no_tape(monkeypatch):
+    cfg, params, rng = make({"d": 4, "chunk": 4}, seed=46)
+    assert all(p.requires_grad for p in params.params())
+    recorded = []
+    monkeypatch.setattr(T, "_record", lambda *node: recorded.append(node))
+    y, s_n = chunked_scan_forward(T.tensor(rng.standard_normal((2, 9, 4))), params, cfg)
+    assert recorded == []
+    assert not (y.requires_grad or s_n.requires_grad)
 
 
 def test_serial_single_step_equals_transition():
@@ -429,19 +462,96 @@ def test_serial_forward_matches_naive_oracle():
     assert np.abs(s_n.data - want_s).max() < 1e-10
 
 
+def _nan_scan_inputs(rng, n, d, bad_step):
+    alpha = np.ones((1, n))
+    beta = np.zeros((1, n))
+    k = rng.standard_normal((1, n, d))
+    c = np.zeros((1, n, d))
+    c[0, bad_step] = np.inf
+    return alpha, beta, k, c, rng.standard_normal((1, n, d))
+
+
 def test_serial_forward_nan_reports_step():
     cfg, params, rng = make({"d": 3, "L": 1}, seed=15)
-    bsz, n, d = 1, 4, 3
-    alpha = np.ones((bsz, n))
-    beta = np.zeros((bsz, n))
-    k = rng.standard_normal((bsz, n, d))
-    c = np.zeros((bsz, n, d))
-    c[0, 2] = np.inf
-    q = rng.standard_normal((bsz, n, d))
+    alpha, beta, k, c, q = _nan_scan_inputs(rng, 4, 3, 2)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
         scan_core(T.tensor(alpha), T.tensor(beta), [T.tensor(k)], [T.tensor(c)],
-                  T.tensor(q), T.tensor(np.zeros((bsz, d, d))))
+                  T.tensor(q), T.tensor(np.zeros((1, 3, 3))))
     assert exc.value.step == 2
+
+
+def test_chunked_scan_nan_reports_step():
+    # Step 6 is inside the second chunk of 4: the masked products spread
+    # the infinite column over the readouts of steps 4 and 5 as well.
+    rng = np.random.default_rng(15)
+    alpha, beta, k, c, q = _nan_scan_inputs(rng, 10, 3, 6)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        chunked_scan(T.tensor(alpha), T.tensor(beta), [T.tensor(k)], [T.tensor(c)],
+                     T.tensor(q), T.tensor(np.zeros((1, 3, 3))), chunk=4)
+    assert exc.value.step == 6
+
+
+def test_chunked_scan_state_overflow_reports_chunk_end():
+    # At step 5 the injection c k^T = 1e400 overflows while every readout
+    # S_t q_t = c (k . q) = 1e200 stays finite: the chunk's last step is
+    # reported. The serial oracle, which checks the state, reports step 5.
+    n, d = 8, 2
+    alpha, beta, q = np.ones((1, n)), np.zeros((1, n)), np.zeros((1, n, d))
+    ks = [np.zeros((1, n, d)), np.zeros((1, n, d))]
+    cs = [np.zeros((1, n, d)), np.zeros((1, n, d))]
+    ks[1][0, 5, 0] = cs[1][0, 5, 0] = 1e200
+    q[0, :, 0] = 1e-200
+    args = [T.tensor(alpha), T.tensor(beta), [T.tensor(a) for a in ks],
+            [T.tensor(a) for a in cs], T.tensor(q), T.tensor(np.zeros((1, d, d)))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as exc:
+            chunked_scan(*args, chunk=4)
+        assert exc.value.step == 7
+        with pytest.raises(NumericError) as exc:
+            scan_core(*args)
+        assert exc.value.step == 5
+
+
+def _scan_run(scan, arrays, L, weights):
+    ts = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    out, s_n = scan(ts["alpha"], ts["beta1"], [ts[f"k{l}"] for l in range(L)],
+                    [ts[f"c{l}"] for l in range(L)], ts["q"], ts["s0"])
+    T.backward((out * weights[0]).sum() + (s_n * weights[1]).sum())
+    return {"out": out.data, "s_n": s_n.data, **{n: t.grad for n, t in ts.items()}}
+
+
+def _assert_chunked_scan_matches_serial(arrays, L, chunk):
+    rng = np.random.default_rng(0)
+    bsz, n, d = arrays["q"].shape
+    weights = (T.tensor(rng.standard_normal((bsz, n, d))),
+               T.tensor(rng.standard_normal((bsz, d, d))))
+    want = _scan_run(scan_core, arrays, L, weights)
+    got = _scan_run(lambda *a: chunked_scan(*a, chunk=chunk), arrays, L, weights)
+    for name, w in want.items():
+        assert np.isfinite(got[name]).all(), name
+        np.testing.assert_allclose(got[name], w, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
+def test_chunked_scan_alpha_zero_matches_serial():
+    # log 0 must not turn into NaN, and the gradient at alpha = 0 is the
+    # serial one, <G_t, S_{t-1} - beta1 m k1^T>, not a 0 / 0.
+    arrays = _scan_arrays(np.random.default_rng(47), 2, 10, 3, 2)
+    arrays["alpha"][:, 5] = 0.0       # inside a chunk
+    arrays["alpha"][0, 8] = 0.0       # at a chunk start
+    _assert_chunked_scan_matches_serial(arrays, 2, chunk=4)
+
+
+def test_chunked_scan_unit_erase_matches_serial():
+    # beta1 = 1 with unit, nearly aligned forget keys: each step erases the
+    # key direction completely, and the chunk's triangular system is as far
+    # from the identity as it gets.
+    rng = np.random.default_rng(48)
+    arrays = _scan_arrays(rng, 2, 16, 4, 2)
+    k1 = rng.standard_normal(4) + 0.05 * rng.standard_normal((2, 16, 4))
+    arrays["k0"] = k1 / np.linalg.norm(k1, axis=-1, keepdims=True)
+    arrays["beta1"][:] = 1.0
+    arrays["alpha"][:] = rng.uniform(0.95, 1.0, (2, 16))
+    _assert_chunked_scan_matches_serial(arrays, 2, chunk=8)
 
 
 def test_config_validation():

@@ -1,15 +1,17 @@
 """Property tests of the PRISM cell over batch, length, chunk, L, dtype and
-the shape of the initial state: serial and chunked paths agree, both fused
-nodes match finite differences, and outputs are causal."""
+the shape of the initial state: serial and chunked paths agree in outputs
+and in every gradient, the fused nodes match finite differences, and
+outputs are causal."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismlab import tensor as T
 from prismlab.cell import (PrismConfig, PrismParams, StepTerms,
-                           chunked_scan_forward, rank_accumulate, scan_core,
-                           serial_forward)
+                           chunked_forward, chunked_scan, chunked_scan_forward,
+                           rank_accumulate, scan_core, serial_forward)
 
 # Derandomized so that every run draws the same examples; small bounds keep the
 # finite-difference checks to a few seconds.
@@ -18,19 +20,24 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 DTYPE_TOL = {np.float32: 1e-4, np.float64: 1e-10}
 
 
-@st.composite
-def cells(draw):
-    d = draw(st.integers(2, 4))
-    cfg = PrismConfig(d=d, L=draw(st.integers(1, 3)), w=draw(st.integers(1, 3)),
-                      chunk=draw(st.integers(1, 8)))
-    bsz, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    s0_shape = draw(st.sampled_from([None, (d, d), (bsz, d, d)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+def _cell(rng, cfg, bsz, n, dtype, s0_kind):
+    d = cfg.d
     params = PrismParams.init(rng, cfg, dtype=dtype)
     x = rng.standard_normal((bsz, n, d)).astype(dtype)
-    s0 = None if s0_shape is None else rng.standard_normal(s0_shape).astype(dtype)
+    shape = {None: None, "shared": (d, d), "batched": (bsz, d, d)}[s0_kind]
+    s0 = None if shape is None else rng.standard_normal(shape).astype(dtype)
     return cfg, params, x, s0
+
+
+@st.composite
+def cells(draw, dtypes=(np.float32, np.float64)):
+    cfg = PrismConfig(d=draw(st.integers(2, 4)), L=draw(st.integers(1, 3)),
+                      w=draw(st.integers(1, 3)), chunk=draw(st.integers(1, 8)))
+    bsz, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from(dtypes))
+    s0_kind = draw(st.sampled_from([None, "shared", "batched"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return _cell(rng, cfg, bsz, n, dtype, s0_kind)
 
 
 def _run(forward, cfg, params, x, s0):
@@ -48,6 +55,44 @@ def test_serial_equals_chunked(cell):
     tol = DTYPE_TOL[x.dtype.type]
     np.testing.assert_allclose(y2, y1, rtol=tol, atol=tol)
     np.testing.assert_allclose(s2, s1, rtol=tol, atol=tol)
+
+
+def _outputs_and_gradients(forward, cfg, params, x, s0):
+    """y, s_n and the gradients of a fixed linear loss of both with respect
+    to x, every parameter and s0."""
+    rng = np.random.default_rng(0)
+    for p in params.params():
+        p.grad = None
+    xt = T.Tensor(x, requires_grad=True)
+    s0t = None if s0 is None else T.Tensor(s0, requires_grad=True)
+    y, s_n = forward(xt, params, cfg, s0=s0t)
+    T.backward((y * T.tensor(rng.standard_normal(y.shape))).sum()
+               + (s_n * T.tensor(rng.standard_normal(s_n.shape))).sum())
+    grads = [xt.grad] + [p.grad for p in params.params()]
+    return [y.data, s_n.data] + grads + ([] if s0t is None else [s0t.grad])
+
+
+def _assert_gradients_agree(cfg, params, x, s0):
+    want = _outputs_and_gradients(serial_forward, cfg, params, x, s0)
+    got = _outputs_and_gradients(chunked_forward, cfg, params, x, s0)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10, err_msg=str(i))
+
+
+@PROPERTY
+@given(cells(dtypes=(np.float64,)))
+def test_serial_equals_chunked_gradients(cell):
+    _assert_gradients_agree(*cell)
+
+
+@pytest.mark.parametrize("s0_kind", [None, "shared", "batched"])
+@pytest.mark.parametrize("n, chunk", [(7, 1), (5, 8), (10, 4), (0, 4)],
+                         ids=["chunk-1", "chunk-over-n", "n-not-multiple", "empty"])
+def test_serial_equals_chunked_gradients_cases(n, chunk, s0_kind):
+    cfg = PrismConfig(d=3, L=2, w=2, chunk=chunk)
+    _assert_gradients_agree(*_cell(np.random.default_rng(n), cfg, 2, n,
+                                   np.float64, s0_kind))
 
 
 @PROPERTY
@@ -94,10 +139,7 @@ def test_rank_accumulate_gradients(bsz, n, d, L, seed):
     _grad_check_all(loss, arrays)
 
 
-@PROPERTY
-@given(st.integers(1, 2), st.integers(1, 4), st.integers(2, 3), st.integers(1, 3),
-       st.sampled_from(["none", "shared", "batched"]), st.integers(0, 2**16))
-def test_scan_core_gradients(bsz, n, d, L, s0_kind, seed):
+def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
     rng = np.random.default_rng(seed)
     arrays = {"alpha": rng.uniform(0.3, 1.0, (bsz, n)),
               "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
@@ -115,8 +157,25 @@ def test_scan_core_gradients(bsz, n, d, L, s0_kind, seed):
         s0 = T.zeros((bsz, d, d))
         if s0_kind != "none":
             s0 = a["s0"] + s0  # a shared (d, d) state broadcasts over the batch
-        out, s_n = scan_core(a["alpha"], a["beta1"], [a[f"k{l}"] for l in range(L)],
-                             [a[f"c{l}"] for l in range(L)], a["q"], s0)
+        out, s_n = scan(a["alpha"], a["beta1"], [a[f"k{l}"] for l in range(L)],
+                        [a[f"c{l}"] for l in range(L)], a["q"], s0)
         return (out * w_out).sum() + (s_n * w_sn).sum()
 
     _grad_check_all(loss, arrays)
+
+
+@PROPERTY
+@given(st.integers(1, 2), st.integers(1, 4), st.integers(2, 3), st.integers(1, 3),
+       st.sampled_from(["none", "shared", "batched"]), st.integers(0, 2**16))
+def test_scan_core_gradients(bsz, n, d, L, s0_kind, seed):
+    _check_scan_gradients(scan_core, bsz, n, d, L, s0_kind, seed)
+
+
+@PROPERTY
+@given(st.integers(1, 2), st.integers(1, 6), st.integers(2, 3), st.integers(1, 3),
+       st.integers(1, 4), st.sampled_from(["none", "shared", "batched"]),
+       st.integers(0, 2**16))
+def test_chunked_scan_gradients(bsz, n, d, L, chunk, s0_kind, seed):
+    def scan(*args):
+        return chunked_scan(*args, chunk=chunk)
+    _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed)

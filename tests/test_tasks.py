@@ -6,7 +6,7 @@ import pytest
 
 from prismlab.errors import ConfigError, DataError
 from prismlab.tasks import (TaskConfig, TaskKind, TaskSample, generate_batch,
-                            generate_sample, queries_per_sample,
+                            generate_sample, min_length, queries_per_sample,
                             sample_from_line, sample_to_line, task_oracle,
                             vocab_partition)
 
@@ -244,6 +244,18 @@ def test_noise_seed_changes_only_noise():
 def test_payload_overflow_raises():
     with pytest.raises(DataError):
         generate_sample(TaskKind.MQAR, TaskConfig(n=12, v=64, kv_pairs=8))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_min_length_is_tight(kind):
+    # TaskConfig itself needs N >= 8, so shorter payloads are only checked
+    # to fit at N 8.
+    need = min_length(kind, cfg64())
+    for index in range(3):
+        generate_sample(kind, TaskConfig(n=max(need, 8), v=64), index=index)
+    if need > 8:
+        with pytest.raises(DataError):
+            generate_sample(kind, TaskConfig(n=need - 1, v=64))
 
 
 # ---------------------------------------------------------------- serialization

@@ -8,7 +8,7 @@ import pytest
 from prismlab import train
 from prismlab.config import RunConfig
 from prismlab.models import ModelKind, build_model
-from prismlab.errors import NumericError
+from prismlab.errors import ConfigError, NumericError
 
 
 def small(**kw):
@@ -20,6 +20,16 @@ def test_zero_steps_gives_one_snapshot():
     assert len(res.history) == 1
     assert res.final.step == 0
     assert res.final.tokens_per_s == 0
+
+
+def test_short_n_raises_config_error_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the length check")
+
+    monkeypatch.setattr(train, "build_model", refuse)
+    monkeypatch.setattr(train, "generate_batch", refuse)
+    with pytest.raises(ConfigError, match="task 'mqar' needs n >= 23"):
+        train.run_training(small(model="la", n=16), 1)
 
 
 def test_non_finite_loss_raises_with_step():
