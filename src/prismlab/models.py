@@ -7,9 +7,17 @@ closed-form degenerate optimum for purely linear key/value maps.
 Trainable models share one body -- embedding, two pre-norm mixer blocks,
 final layernorm, untied output head -- and differ only in the mixer:
 PRISM, masked linear attention, a 4-expert mixture of gated
-linear-attention memories with soft routing, or 2-head causal softmax
+linear-attention memories with soft routing (MoM), or 2-head causal softmax
 attention (the full-rank upper bound). Only the transformer receives
 positional embeddings; the recurrent mixers get order from their scans.
+
+MoM stacks its experts: each of its gate, key, value and query projections
+is one (d, 4d) matrix whose column block i belongs to expert i, and the
+B*4 memories of a batch run through one ``blocked_gated_scan`` call. That
+scan works time-major, SCAN_BLOCK steps at a time, and keeps only the
+block-boundary states for its backward, which recomputes each block's
+states from its boundary (the policy of PRISM's ``cell.chunked_scan``).
+``gated_la_scan``, which keeps every state, is its step-by-step oracle.
 """
 
 from __future__ import annotations
@@ -95,10 +103,12 @@ def degenerate_closed_form(w_k, w_v):
 
 
 def gated_la_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
-    """Fused gated linear-attention rollout (one tape node).
+    """Fused gated linear-attention rollout (one tape node): the step-by-step
+    reference for ``blocked_gated_scan``.
 
     S_t = S_{t-1} * diag(gate_t) + v_t (x) k_t;  out_t = S_t q_t.
-    All inputs (B, N, d); decay acts per key channel.
+    All inputs (B, N, d); decay acts per key channel. Keeps the whole
+    (B, N + 1, d, d) state history for its backward.
     """
     gd, kd, vd, qd = gate.data, k.data, v.data, q.data
     bsz, n, d = kd.shape
@@ -126,6 +136,85 @@ def gated_la_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
             g_k[:, t] = (np.swapaxes(grad_s, 1, 2) @ vd[:, t, :, None])[:, :, 0]
             g_g[:, t] = (grad_s * s_hist[:, t]).sum(axis=1)
             grad_s = grad_s * gd[:, t, None, :]
+        return g_g, g_k, g_v, g_q
+
+    return T.custom_op(out, (gate, k, v, q), back)
+
+
+SCAN_BLOCK = 16  # steps per block of blocked_gated_scan; one state kept per block
+
+
+def _gate_rows(g):
+    """(c, M, d) key-channel gates -> (c, M, d, d), g_t copied into every row."""
+    return np.repeat(g[:, :, None, :], g.shape[-1], axis=2)
+
+
+def _block_states(s, gates, v, k, out):
+    """One block of S_t = S_{t-1} * diag(g_t) + v_t (x) k_t, from S = ``s``.
+
+    ``gates`` is ``_gate_rows`` of the block's gates, ``v`` and ``k`` its
+    (c, M, d) inputs; the (c, M, d, d) states S_t are written to ``out``,
+    which is returned. The writes v_t (x) k_t are batched over the block, so
+    the step loop only multiplies and adds contiguous slices.
+    """
+    np.einsum("tmi,tmj->tmij", v, k, out=out)
+    decayed = np.empty_like(s)
+    for st, gt in zip(out, gates):
+        st += np.multiply(s, gt, out=decayed)
+        s = st
+    return out
+
+
+def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
+    """``gated_la_scan`` on a time-major layout, in blocks (one tape node).
+
+    Inputs (N, M, d): step t of memory m. Each memory runs
+    S_t = S_{t-1} * diag(gate_t) + v_t (x) k_t from S_0 = 0, and the
+    readouts S_t q_t are returned as (N, M, d). The M memories run together,
+    SCAN_BLOCK steps at a time. Between forward and backward only the
+    N/SCAN_BLOCK + 1 block-boundary states are kept; the backward
+    recomputes each block's states from its boundary. Raises NumericError
+    whose ``step`` is the first step with a non-finite readout, or, if every
+    readout is finite, the last step of the first block whose end state is
+    not.
+    """
+    gd, kd, vd, qd = (t.data for t in (gate, k, v, q))
+    if qd.ndim != 3 or any(a.shape != qd.shape for a in (gd, kd, vd)):
+        raise ShapeError(f"gated scan needs four equal (N, M, d) inputs, got "
+                         f"{[a.shape for a in (gd, kd, vd, qd)]}")
+    n, m, d = qd.shape
+    blocks = [slice(t0, t0 + SCAN_BLOCK) for t0 in range(0, n, SCAN_BLOCK)]
+    bounds = np.zeros((len(blocks) + 1, m, d, d), dtype=qd.dtype)
+    out = np.empty_like(qd)
+    for j, blk in enumerate(blocks):
+        gates = _gate_rows(gd[blk])
+        states = _block_states(bounds[j], gates, vd[blk], kd[blk], np.empty_like(gates))
+        out[blk] = (states @ qd[blk, :, :, None])[..., 0]
+        bounds[j + 1] = states[-1]
+    if not (np.isfinite(out).all() and np.isfinite(bounds).all()):
+        bad = ~np.isfinite(out).all(axis=(1, 2))
+        ends = ~np.isfinite(bounds[1:]).all(axis=(1, 2, 3))
+        step = (int(bad.argmax()) if bad.any()
+                else min((int(ends.argmax()) + 1) * SCAN_BLOCK, n) - 1)
+        raise NumericError(f"readout or state became non-finite at step {step}", step=step)
+
+    def back(g_out):
+        g_g, g_k, g_v, g_q = (np.empty_like(a) for a in (gd, kd, vd, qd))
+        carry = np.zeros((m, d, d), dtype=qd.dtype)  # dL/dS_t * gate_t, from later steps
+        for j in reversed(range(len(blocks))):
+            blk = blocks[j]
+            gates = _gate_rows(gd[blk])
+            hist = np.empty((len(gates) + 1, m, d, d), dtype=qd.dtype)
+            hist[0] = bounds[j]
+            _block_states(bounds[j], gates, vd[blk], kd[blk], hist[1:])
+            grad_s = np.einsum("tmi,tmj->tmij", g_out[blk], qd[blk])
+            for i in reversed(range(len(gates))):
+                grad_s[i] += carry
+                np.multiply(grad_s[i], gates[i], out=carry)
+            g_q[blk] = (g_out[blk, :, None, :] @ hist[1:])[:, :, 0]
+            g_v[blk] = (grad_s @ kd[blk, :, :, None])[..., 0]
+            g_k[blk] = (vd[blk, :, None, :] @ grad_s)[:, :, 0]
+            g_g[blk] = np.einsum("tmij,tmij->tmj", grad_s, hist[:-1])
         return g_g, g_k, g_v, g_q
 
     return T.custom_op(out, (gate, k, v, q), back)
@@ -171,34 +260,39 @@ def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
 
 @dataclass
 class MoMParams:
-    """4 independent gated linear-attention memories behind a soft router."""
+    """N_EXPERTS gated linear-attention memories behind a soft router.
+
+    The experts' projections are stacked: column block i (columns
+    i*d to (i+1)*d) of w_g, w_k, w_v and w_q belongs to expert i, so one
+    product per projection serves every expert. Block i is drawn as the
+    i-th (d, d) matrix of its group, in the order the per-expert layout
+    drew them, so a seed gives the same weights in either layout.
+    """
 
     w_router: Tensor   # (d, E)
     b_router: Tensor   # (E,)
-    w_g: list          # E x (d, d) decay-gate pre-activations
-    w_k: list
-    w_v: list
-    w_q: list
-    w_o: Tensor
+    w_g: Tensor        # (d, E*d) decay-gate pre-activations
+    w_k: Tensor        # (d, E*d)
+    w_v: Tensor        # (d, E*d)
+    w_q: Tensor        # (d, E*d)
+    w_o: Tensor        # (d, d)
 
     @classmethod
     def init(cls, rng, d, dtype):
+        def stacked():
+            return T.Tensor(np.concatenate([_mat(rng, (d, d), dtype).data
+                                            for _ in range(N_EXPERTS)], axis=1),
+                            requires_grad=True)
         return cls(
             w_router=_mat(rng, (d, N_EXPERTS), dtype),
             b_router=T.zeros(N_EXPERTS, dtype=dtype, requires_grad=True),
-            w_g=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
-            w_k=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
-            w_v=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
-            w_q=[_mat(rng, (d, d), dtype) for _ in range(N_EXPERTS)],
+            w_g=stacked(), w_k=stacked(), w_v=stacked(), w_q=stacked(),
             w_o=_mat(rng, (d, d), dtype),
         )
 
     def params(self):
-        yield self.w_router
-        yield self.b_router
-        for group in (self.w_g, self.w_k, self.w_v, self.w_q):
-            yield from group
-        yield self.w_o
+        yield from (self.w_router, self.b_router, self.w_g, self.w_k, self.w_v,
+                    self.w_q, self.w_o)
 
 
 def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
@@ -206,21 +300,23 @@ def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
 
     Each expert runs its own diagonal-decay recurrence; the output blends
     expert readouts with per-token softmax weights, so routing stays fully
-    differentiable.
+    differentiable. The tokens are laid out time-major, as rows (t, b), so
+    that each projection is one product whose (N, B*E, d) view is the
+    input of one ``blocked_gated_scan`` over every sample's experts.
     """
     squeeze = x.data.ndim == 2
     if squeeze:
         x = T.reshape(x, (1,) + x.data.shape)
     bsz, n, d = x.data.shape
-    weights = T.softmax(x @ p.w_router + p.b_router, axis=-1)  # (B, N, E)
-    blended = None
-    for i in range(len(p.w_g)):
-        gate = T.sigmoid(x @ p.w_g[i])
-        out_i = gated_la_scan(gate, x @ p.w_k[i], x @ p.w_v[i], x @ p.w_q[i])
-        w_i = T.reshape(weights[:, :, i], (bsz, n, 1))
-        term = out_i * w_i
-        blended = term if blended is None else blended + term
-    y = blended @ p.w_o
+    rows = T.reshape(T.transpose(x, (1, 0, 2)), (n * bsz, d))
+    mems = (n, bsz * N_EXPERTS, d)
+    out = blocked_gated_scan(T.reshape(T.sigmoid(rows @ p.w_g), mems),
+                             T.reshape(rows @ p.w_k, mems), T.reshape(rows @ p.w_v, mems),
+                             T.reshape(rows @ p.w_q, mems))
+    weights = T.softmax(rows @ p.w_router + p.b_router, axis=-1)  # (N*B, E)
+    blended = T.tsum(T.reshape(out, (n * bsz, N_EXPERTS, d))
+                     * T.reshape(weights, (n * bsz, N_EXPERTS, 1)), axis=1)
+    y = T.transpose(T.reshape(blended @ p.w_o, (n, bsz, d)), (1, 0, 2))
     return T.reshape(y, (n, d)) if squeeze else y
 
 

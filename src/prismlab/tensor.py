@@ -338,13 +338,10 @@ def gelu(x):
 
 
 def sigmoid_fn(x):
-    """Numerically stable logistic function on a raw array."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function on a raw array: exp only ever
+    sees -|x|, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x):

@@ -6,12 +6,12 @@ import pytest
 from prismlab import tensor as T
 from prismlab.errors import (ConfigError, NumericError, ShapeError,
                              SingularMatrixError)
-from prismlab.models import (Activation, AttnParams, LAParams, MixerBlockParams,
-                             ModelKind, MoMParams, SequenceModel, build_model,
-                             causal_attention, degenerate_closed_form,
-                             delta_rule_step, gated_la_scan, ideal_solver_step,
-                             la_mixer_forward, linear_attention_step,
-                             mom_forward)
+from prismlab.models import (N_EXPERTS, Activation, AttnParams, LAParams,
+                             MixerBlockParams, ModelKind, MoMParams, SequenceModel,
+                             blocked_gated_scan, build_model, causal_attention,
+                             degenerate_closed_form, delta_rule_step, gated_la_scan,
+                             ideal_solver_step, la_mixer_forward,
+                             linear_attention_step, mom_forward)
 
 
 # ---------------------------------------------------------------- LA step
@@ -249,8 +249,8 @@ def test_mom_collapsed_router_equals_single_expert():
     p.w_router.data[:] = 0.0
     x = T.tensor(rng.standard_normal((1, 9, d)))
     full = mom_forward(x, p).data
-    gate = T.sigmoid(x @ p.w_g[0])
-    solo = gated_la_scan(gate, x @ p.w_k[0], x @ p.w_v[0], x @ p.w_q[0])
+    gate = T.sigmoid(x @ p.w_g[:, :d])
+    solo = gated_la_scan(gate, x @ p.w_k[:, :d], x @ p.w_v[:, :d], x @ p.w_q[:, :d])
     want = (solo @ p.w_o).data
     np.testing.assert_allclose(full, want, atol=1e-12)
 
@@ -263,11 +263,11 @@ def test_mom_uniform_router_identical_experts():
     p.b_router.data[:] = 0.0
     for group in (p.w_g, p.w_k, p.w_v, p.w_q):
         for i in range(1, 4):
-            group[i].data[:] = group[0].data
+            group.data[:, i * d:(i + 1) * d] = group.data[:, :d]
     x = T.tensor(rng.standard_normal((1, 7, d)))
     full = mom_forward(x, p).data
-    gate = T.sigmoid(x @ p.w_g[0])
-    solo = gated_la_scan(gate, x @ p.w_k[0], x @ p.w_v[0], x @ p.w_q[0])
+    gate = T.sigmoid(x @ p.w_g[:, :d])
+    solo = gated_la_scan(gate, x @ p.w_k[:, :d], x @ p.w_v[:, :d], x @ p.w_q[:, :d])
     want = (solo @ p.w_o).data
     np.testing.assert_allclose(full, want, atol=1e-10)
 
@@ -282,6 +282,70 @@ def test_mom_causality():
     x2[0, 6] += 2.0
     y1 = mom_forward(T.tensor(x2), p).data
     np.testing.assert_array_equal(y0[0, :6], y1[0, :6])
+
+
+def _per_expert_mom(x, p):
+    """The MoM mixer with one gated_la_scan call per expert, on column
+    block i of the stacked weights: the layout before the experts were
+    stacked, as the reference for mom_forward."""
+    d = x.data.shape[-1]
+    weights = T.softmax(x @ p.w_router + p.b_router, axis=-1)
+    blended = None
+    for i in range(N_EXPERTS):
+        cols = slice(i * d, (i + 1) * d)
+        out_i = gated_la_scan(T.sigmoid(x @ p.w_g[:, cols]), x @ p.w_k[:, cols],
+                              x @ p.w_v[:, cols], x @ p.w_q[:, cols])
+        term = out_i * T.reshape(weights[:, :, i], weights.shape[:2] + (1,))
+        blended = term if blended is None else blended + term
+    return blended @ p.w_o
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mom_logits_equal_per_expert_form(dtype):
+    model = build_model(ModelKind.MOM, n_ctx=40, seed=[1, 0], dtype=dtype)
+    tokens = np.random.default_rng(1).integers(0, 64, (3, 40))
+    stacked = model.forward(tokens).data
+    for blk in model.blocks:
+        blk.mixer_fn = _per_expert_mom
+    np.testing.assert_array_equal(stacked, model.forward(tokens).data)
+
+
+def test_mom_stacked_init_draws_per_expert_order():
+    d = 5
+    p = MoMParams.init(np.random.default_rng(3), d, np.float64)
+    rng = np.random.default_rng(3)
+    scale = 1.0 / np.sqrt(d)
+    np.testing.assert_array_equal(p.w_router.data,
+                                  rng.standard_normal((d, N_EXPERTS)) * scale)
+    for group in (p.w_g, p.w_k, p.w_v, p.w_q):
+        blocks = [rng.standard_normal((d, d)) * scale for _ in range(N_EXPERTS)]
+        np.testing.assert_array_equal(group.data, np.concatenate(blocks, axis=1))
+    np.testing.assert_array_equal(p.w_o.data, rng.standard_normal((d, d)) * scale)
+
+
+@pytest.mark.parametrize("step", [16, 21])
+def test_mom_numeric_error_names_block_and_step(step):
+    model = build_model(ModelKind.MOM, d=8, vocab=16, n_ctx=40, seed=7)
+
+    def poisoned(x, p):
+        data = x.data.copy()
+        data[1, step, 0] = np.inf
+        return mom_forward(T.tensor(data, dtype=data.dtype), p)
+
+    model.blocks[1].mixer_fn = poisoned
+    tokens = np.random.default_rng(8).integers(0, 16, (2, 40))
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+        model.forward(tokens)
+    assert exc.value.block == 1
+    assert exc.value.step == step
+
+
+def test_blocked_gated_scan_rejects_unequal_shapes():
+    a = T.tensor(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError):
+        blocked_gated_scan(a, a, a, T.tensor(np.zeros((3, 1, 4))))
+    with pytest.raises(ShapeError):
+        blocked_gated_scan(*(T.tensor(np.zeros((1, 3, 2, 4))),) * 4)
 
 
 # ---------------------------------------------------------------- attention
@@ -396,6 +460,17 @@ def test_load_state_dict_rejects_other_keys():
         model.load_state_dict(missing)
     with pytest.raises(ShapeError, match=r"unexpected \['extra'\]"):
         model.load_state_dict({**state, "extra": np.zeros(1)})
+
+
+def test_load_state_dict_rejects_per_expert_mom_layout():
+    model = build_model(ModelKind.MOM, d=8, vocab=16, n_ctx=8, seed=5)
+    stacked = {id(t) for blk in model.blocks
+               for t in (blk.mixer.w_g, blk.mixer.w_k, blk.mixer.w_v, blk.mixer.w_q)}
+    arrays = []
+    for p in model.params():
+        arrays += np.split(p.data, N_EXPERTS, axis=1) if id(p) in stacked else [p.data]
+    with pytest.raises(ShapeError):
+        model.load_state_dict({f"p{i}": a for i, a in enumerate(arrays)})
 
 
 @pytest.mark.parametrize("block", [0, 1])

@@ -1,7 +1,8 @@
 """Property tests of the PRISM cell over batch, length, chunk, L, dtype and
 the shape of the initial state: serial and chunked paths agree in outputs
 and in every gradient, the fused nodes match finite differences, and
-outputs are causal."""
+outputs are causal. The blocked gated scan of the MoM mixer agrees with
+its step-by-step oracle in the same way."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from prismlab import tensor as T
 from prismlab.cell import (PrismConfig, PrismParams, StepTerms,
                            chunked_forward, chunked_scan, chunked_scan_forward,
                            rank_accumulate, scan_core, serial_forward)
+from prismlab.models import SCAN_BLOCK, blocked_gated_scan, gated_la_scan
 
 # Derandomized so that every run draws the same examples; small bounds keep the
 # finite-difference checks to a few seconds.
@@ -55,6 +57,48 @@ def test_serial_equals_chunked(cell):
     tol = DTYPE_TOL[x.dtype.type]
     np.testing.assert_allclose(y2, y1, rtol=tol, atol=tol)
     np.testing.assert_allclose(s2, s1, rtol=tol, atol=tol)
+
+
+def _gated_scan_arrays(rng, n, m, d):
+    """gate, k, v, q of shape (N, M, d); about a fifth of the gates are
+    exactly 0 and a fifth exactly 1."""
+    r = rng.random((n, m, d))
+    gate = np.where(r < 0.2, 0.0, np.where(r > 0.8, 1.0, rng.random(r.shape)))
+    return [gate] + [rng.standard_normal((n, m, d)) for _ in range(3)]
+
+
+def _assert_blocked_matches_oracle(n, m, d, seed):
+    """Readouts and the gradients of gate, k, v and q of blocked_gated_scan
+    on (N, M, d) equal those of gated_la_scan on the (M, N, d) transposes
+    (float64)."""
+    rng = np.random.default_rng(seed)
+    arrays = _gated_scan_arrays(rng, n, m, d)
+    g_out = rng.standard_normal((n, m, d))
+    ins = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = blocked_gated_scan(*ins)
+    T.backward((out * T.tensor(g_out)).sum())
+    ref = [T.Tensor(np.ascontiguousarray(a.transpose(1, 0, 2)), requires_grad=True)
+           for a in arrays]
+    out_ref = gated_la_scan(*ref)
+    T.backward((out_ref * T.tensor(g_out.transpose(1, 0, 2))).sum())
+    pairs = [(out.data, out_ref.data)] + [(x.grad, r.grad) for x, r in zip(ins, ref)]
+    for j, (got, want) in enumerate(pairs):
+        np.testing.assert_allclose(got, want.transpose(1, 0, 2), rtol=1e-12, atol=1e-12,
+                                   err_msg=str(j))
+
+
+@PROPERTY
+@given(st.integers(0, 2 * SCAN_BLOCK + 8), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 2**16))
+def test_blocked_gated_scan_equals_oracle(n, m, d, seed):
+    _assert_blocked_matches_oracle(n, m, d, seed)
+
+
+@pytest.mark.parametrize("n, m, d", [
+    (37, 6, 4), (9, 4, 3), (1, 6, 3), (48, 4, 2), (0, 4, 3)],
+    ids=["n-not-multiple", "n-under-block", "n-1", "n-multiple", "empty"])
+def test_blocked_gated_scan_equals_oracle_cases(n, m, d):
+    _assert_blocked_matches_oracle(n, m, d, seed=n)
 
 
 def _outputs_and_gradients(forward, cfg, params, x, s0):
@@ -179,3 +223,15 @@ def test_chunked_scan_gradients(bsz, n, d, L, chunk, s0_kind, seed):
     def scan(*args):
         return chunked_scan(*args, chunk=chunk)
     _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed)
+
+
+def test_blocked_gated_scan_gradients():
+    rng = np.random.default_rng(31)
+    n, m, d = SCAN_BLOCK + 3, 2, 2
+    arrays = dict(zip(("gate", "k", "v", "q"), _gated_scan_arrays(rng, n, m, d)))
+    w_out = T.tensor(rng.standard_normal((n, m, d)))
+
+    def loss(a):
+        return (blocked_gated_scan(a["gate"], a["k"], a["v"], a["q"]) * w_out).sum()
+
+    _grad_check_all(loss, arrays)
