@@ -7,10 +7,9 @@ The state update is right-multiplicative,
     y_t = OutProj(S_t q_t),
 
 with the injection C_t K_t = sum_l c^(l)_t (x) k^(l)_t of rank at most L
-carried as its L factor pairs (only ``dense_transitions``, an analysis
-helper, forms it densely). Every transition operator depends only on the
-input prefix, never on the running state, which is what makes the chunked
-scan legal.
+carried as its L factor pairs, never as a dense (d, d) matrix. Every
+transition operator depends only on the input prefix, never on the running
+state, which is what makes the chunked scan legal.
 
 Both rollouts share the anchor, the step terms and the fused rank-L
 injection, and differ in the recurrence, one fused tape node with a
@@ -111,54 +110,6 @@ class StepTerms:
     k: list = field(default_factory=list)
     p: list = field(default_factory=list)
     beta: list = field(default_factory=list)
-
-
-@dataclass
-class TransitionPair:
-    """One step of the linear recurrence, structurally and densely.
-
-    Structured form: A = alpha * (I - beta * k k^T). The dense form is
-    materialized on demand, for analysis; no rollout composes it.
-    """
-
-    a: np.ndarray                 # (d, d)
-    b: np.ndarray                 # (d, d)
-    alpha: float | None = None
-    beta: float | None = None
-    k: np.ndarray | None = None
-
-    @classmethod
-    def from_structured(cls, alpha, beta, k, b):
-        k = np.asarray(k, dtype=np.float64)
-        d = k.shape[0]
-        a = alpha * (np.eye(d) - beta * np.outer(k, k))
-        return cls(a=a, b=np.asarray(b, dtype=np.float64),
-                   alpha=float(alpha), beta=float(beta), k=k)
-
-    @classmethod
-    def identity(cls, d):
-        return cls(a=np.eye(d), b=np.zeros((d, d)))
-
-    def structured_eigenvalues(self):
-        """Analytic spectrum: alpha with multiplicity d-1, plus
-        alpha * (1 - beta ||k||^2)."""
-        if self.alpha is None:
-            raise ShapeError("dense-only pair has no structured spectrum")
-        lam = self.alpha * (1.0 - self.beta * float(self.k @ self.k))
-        return np.concatenate([np.full(self.k.shape[0] - 1, self.alpha), [lam]])
-
-    def apply(self, s):
-        return s @ self.a + self.b
-
-
-def compose_transitions(pair_a: TransitionPair, pair_b: TransitionPair) -> TransitionPair:
-    """Associative composition: first ``pair_a``, then ``pair_b``.
-
-    (A_a, B_a) o (A_b, B_b) = (A_a A_b, B_a A_b + B_b), matching
-    S'' = (S A_a + B_a) A_b + B_b. Associative but not commutative.
-    """
-    return TransitionPair(a=pair_a.a @ pair_b.a,
-                          b=pair_a.b @ pair_b.a + pair_b.b)
 
 
 # --------------------------------------------------------------------------
@@ -274,35 +225,8 @@ def rank_accumulate(terms: StepTerms, v: Tensor, u: Tensor, cfg: PrismConfig):
 
 
 # --------------------------------------------------------------------------
-# transitions and rollouts
+# rollouts
 # --------------------------------------------------------------------------
-
-def dense_transitions(terms: StepTerms, cs):
-    """Dense per-step (A, B) arrays, shape (B, N, d, d) each.
-
-    The only place the injection B_t = sum_l c_l (x) k_l is formed: the
-    training path carries it as the L factor pairs (``cs``, ``terms.k``).
-    """
-    k = terms.k[0].data
-    kk = k[..., :, None] * k[..., None, :]
-    eye = np.eye(k.shape[-1], dtype=k.dtype)
-    a = terms.alpha.data[..., None, None] * (eye - terms.beta[0].data[..., None, None] * kk)
-    b = np.zeros_like(a)
-    for c, k_l in zip(cs, terms.k):
-        b += c.data[..., :, None] * k_l.data[..., None, :]
-    return a, b
-
-
-def build_transition(terms: StepTerms, cs, batch=0, t=0) -> TransitionPair:
-    """Materialize the transition pair of step ``t`` (analysis path)."""
-    _, b = dense_transitions(terms, cs)
-    return TransitionPair.from_structured(
-        alpha=float(terms.alpha.data[batch, t]),
-        beta=float(terms.beta[0].data[batch, t]),
-        k=terms.k[0].data[batch, t],
-        b=b[batch, t],
-    )
-
 
 def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
               s0: Tensor):

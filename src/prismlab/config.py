@@ -10,12 +10,21 @@ the wall-clock ``tokens_per_s``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
 CSV_HEADER = ("run_id", "model", "task", "seed", "step", "loss",
               "accuracy", "tokens_per_s")
+
+# The Python types a RunConfig field accepts, by its annotation.
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
+
+
+def _is_a(value, kind):
+    """``isinstance``, except that a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -31,9 +40,13 @@ class RunConfig:
     lr: float = 1e-3
     seeds: list = field(default_factory=lambda: [1, 2, 3])
     precision: str = "f32"
-    out_dir: str = "runs"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_a(value, _KINDS[f.type]):
+                raise ConfigError(f"config field '{f.name}' must be {f.type}, "
+                                  f"got {value!r}")
         for name in ("d", "l", "v", "n", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"config field '{name}' must be positive")
@@ -43,7 +56,7 @@ class RunConfig:
             raise ConfigError("config field 'lr' must be positive")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("config field 'precision' must be 'f32' or 'f64'")
-        if not self.seeds or any(int(s) != s for s in self.seeds):
+        if not self.seeds or not all(_is_a(s, numbers.Integral) for s in self.seeds):
             raise ConfigError("config field 'seeds' must be a non-empty int list")
         self.seeds = [int(s) for s in self.seeds]
 

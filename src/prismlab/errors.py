@@ -2,8 +2,7 @@
 
 Every error the package raises on purpose is one of these classes, so a
 caller can tell bad input (ShapeError, ConfigError, DataError), API
-misuse (UsageError) and numeric failure (NumericError and its subclass
-SingularMatrixError) apart from bugs.
+misuse (UsageError) and numeric failure (NumericError) apart from bugs.
 """
 
 
@@ -32,10 +31,3 @@ class NumericError(ArithmeticError):
         self.step = step
         self.block = None
 
-
-class SingularMatrixError(NumericError):
-    """Matrix inversion attempted on a (near-)singular matrix."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition

@@ -1,10 +1,6 @@
-"""Reference update rules and the trainable model zoo.
+"""The trainable model zoo.
 
-Analysis rules (plain numpy, no tape): simple linear attention, the delta
-rule, the state-dependent ideal solver it approximates, and the
-closed-form degenerate optimum for purely linear key/value maps.
-
-Trainable models share one body -- embedding, two pre-norm mixer blocks,
+All models share one body -- embedding, two pre-norm mixer blocks,
 final layernorm, untied output head -- and differ only in the mixer:
 PRISM, masked linear attention, a 4-expert mixture of gated
 linear-attention memories with soft routing (MoM), or 2-head causal softmax
@@ -30,76 +26,11 @@ import numpy as np
 from . import tensor as T
 from .cell import PrismBlockParams, PrismConfig, prism_block_forward
 from .errors import ConfigError, NumericError, ShapeError
-from .linalg import matrix_inverse
 from .tensor import Tensor
 
 N_BLOCKS = 2     # mixer blocks per model
 N_EXPERTS = 4    # memories in the MoM mixer
 N_HEADS = 2      # heads of the transformer's attention
-
-
-# --------------------------------------------------------------------------
-# activation specs for the ideal solver
-# --------------------------------------------------------------------------
-
-class Activation(enum.Enum):
-    IDENTITY = "identity"
-    TANH = "tanh"
-    GELU = "gelu"
-
-    def f(self, x):
-        if self is Activation.IDENTITY:
-            return x
-        if self is Activation.TANH:
-            return np.tanh(x)
-        return T.gelu_fn(x)
-
-    def fprime(self, x):
-        if self is Activation.IDENTITY:
-            return np.ones_like(x)
-        if self is Activation.TANH:
-            t = np.tanh(x)
-            return 1.0 - t * t
-        return T.gelu_deriv_fn(x)
-
-
-# --------------------------------------------------------------------------
-# serial update rules (verification oracles)
-# --------------------------------------------------------------------------
-
-def linear_attention_step(s, k, v):
-    """Hebbian accumulation: S' = S + v k^T."""
-    return s + np.outer(v, k)
-
-
-def delta_rule_step(s, k, v, beta):
-    """Error-correcting rank-1 update: S' = S + beta (v - S k) k^T."""
-    resid = v - s @ k
-    return s + beta * np.outer(resid, k)
-
-
-def ideal_solver_step(s, k, v, act: Activation, beta=1.0):
-    """One gradient step on 0.5 ||act(S k) - v||^2 in S.
-
-    S' = S + beta * (act'(S k) * (v - act(S k))) k^T. State-dependent,
-    hence strictly serial. With the identity activation this reduces,
-    operation for operation, to the delta rule.
-    """
-    z = s @ k
-    resid = v - act.f(z)
-    update = act.fprime(z) * resid
-    return s + beta * np.outer(update, k)
-
-
-def degenerate_closed_form(w_k, w_v):
-    """Sequence-independent optimum for linear maps: S* = W_v W_k^{-1}.
-
-    Raises SingularMatrixError when W_k is not invertible enough for the
-    residual guarantee to hold.
-    """
-    w_k = np.asarray(w_k, dtype=np.float64)
-    w_v = np.asarray(w_v, dtype=np.float64)
-    return w_v @ matrix_inverse(w_k)
 
 
 def gated_la_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):

@@ -39,7 +39,3 @@ class Adam:
             v += (1.0 - b2) * (g * g)
             p.data -= (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
             p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None

@@ -5,7 +5,7 @@ tracking), local non-linear logic (XOR, parity, modulo addition,
 palindrome), and gating control (silence gate, MUX). The vocabulary is
 partitioned into disjoint noise / data / control ranges so payload tokens
 can never be confused with background noise, and every sample is solvable
-by a rule-based oracle with accuracy exactly 1.0.
+with accuracy exactly 1.0 by the rule-based oracle in ``tests/oracles.py``.
 
 Layout conventions:
   * payload tokens form contiguous groups separated by at least one noise
@@ -30,6 +30,11 @@ from .errors import ConfigError, DataError
 
 NAMED_TOKENS = ("QUERY", "TOK_XOR", "ON", "OFF", "NULL",
                 "SEL0", "SEL1", "CTX_A", "CTX_B")
+
+KV_PAIRS = 4      # MQAR key-value pairs, each queried once
+CHAIN_LEN = 3     # variable-tracking assignments
+MODULUS = 10      # modulo addition
+PARITY_BITS = 3   # parity block length
 
 
 @dataclass(frozen=True)
@@ -93,23 +98,11 @@ class TaskConfig:
     n: int = 128
     v: int = 64
     seed: int = 0
-    kv_pairs: int = 4       # MQAR
-    contexts: int = 2       # poly-recall
-    chain_len: int = 3      # variable tracking
-    modulus: int = 10       # modulo addition
-    bits: int = 3           # parity
-    noise_seed: int | None = None
 
     def __post_init__(self):
         if self.n < 8:
             raise ConfigError("sequence length must be >= 8")
-        layout = vocab_partition(self.v)
-        if self.modulus > len(layout.data):
-            raise ConfigError("modulus exceeds the data range")
-        if self.bits < 1:
-            raise ConfigError("parity needs at least 1 bit")
-        if self.contexts != 2:
-            raise ConfigError("poly-recall is defined for exactly 2 contexts")
+        vocab_partition(self.v)  # raises ConfigError for a vocabulary too small
 
     def layout(self):
         return vocab_partition(self.v)
@@ -122,28 +115,28 @@ class TaskSample:
     targets: np.ndarray           # aligned with query_positions
 
 
-def queries_per_sample(kind: TaskKind, cfg: TaskConfig) -> int:
-    return cfg.kv_pairs if kind is TaskKind.MQAR else 1
+def queries_per_sample(kind: TaskKind) -> int:
+    return KV_PAIRS if kind is TaskKind.MQAR else 1
 
 
 # Sizes of the contiguous payload groups each generator places, in order.
 _GROUP_SIZES = {
-    TaskKind.MQAR: lambda cfg: [2] * (2 * cfg.kv_pairs),
-    TaskKind.POLY_RECALL: lambda cfg: [3, 3, 3],
-    TaskKind.VAR_TRACKING: lambda cfg: [2] * (cfg.chain_len + 1),
-    TaskKind.LOCAL_XOR: lambda cfg: [3],
-    TaskKind.PARITY: lambda cfg: [cfg.bits + 1],
-    TaskKind.MODULO_ADD: lambda cfg: [3],
-    TaskKind.PALINDROME: lambda cfg: [4],
-    TaskKind.SILENCE_GATE: lambda cfg: [3, 2],
-    TaskKind.MUX: lambda cfg: [4],
+    TaskKind.MQAR: [2] * (2 * KV_PAIRS),
+    TaskKind.POLY_RECALL: [3, 3, 3],
+    TaskKind.VAR_TRACKING: [2] * (CHAIN_LEN + 1),
+    TaskKind.LOCAL_XOR: [3],
+    TaskKind.PARITY: [PARITY_BITS + 1],
+    TaskKind.MODULO_ADD: [3],
+    TaskKind.PALINDROME: [4],
+    TaskKind.SILENCE_GATE: [3, 2],
+    TaskKind.MUX: [4],
 }
 
 
-def min_length(kind: TaskKind, cfg: TaskConfig) -> int:
+def min_length(kind: TaskKind) -> int:
     """Shortest N that holds the task's payload groups with one gap token
     between consecutive groups."""
-    sizes = _GROUP_SIZES[kind](cfg)
+    sizes = _GROUP_SIZES[kind]
     return sum(sizes) + len(sizes) - 1
 
 
@@ -187,8 +180,7 @@ def _seed_list(seed):
 
 def _rngs(cfg, task_id, index=0):
     payload = np.random.default_rng(_seed_list(cfg.seed) + [task_id, index, 0x5EED])
-    noise_seed = cfg.seed if cfg.noise_seed is None else cfg.noise_seed
-    noise = np.random.default_rng(_seed_list(noise_seed) + [task_id, index, 0x4015E])
+    noise = np.random.default_rng(_seed_list(cfg.seed) + [task_id, index, 0x4015E])
     return payload, noise
 
 
@@ -205,12 +197,12 @@ def gen_mqar(cfg: TaskConfig, index=0) -> TaskSample:
     layout = cfg.layout()
     payload, noise = _rngs(cfg, 1, index)
     tokens = _base_sequence(cfg, noise, layout)
-    k = cfg.kv_pairs
+    k = KV_PAIRS
     keys = payload.choice(np.asarray(layout.data), size=k, replace=False)
     vals = payload.choice(np.asarray(layout.data), size=k, replace=True)
     stmt_order = payload.permutation(k)
     query_order = payload.permutation(k)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MQAR](cfg))
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MQAR])
     for slot, pair in enumerate(stmt_order):
         _write(tokens, starts[slot], [keys[pair], vals[pair]])
     qpos, tgt = [], []
@@ -231,7 +223,7 @@ def gen_poly_recall(cfg: TaskConfig, index=0) -> TaskSample:
     v1, v2 = payload.choice(np.asarray(layout.data), size=2, replace=False)
     ctx = [layout.token("CTX_A"), layout.token("CTX_B")]
     stmt_order = payload.permutation(2)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.POLY_RECALL](cfg))
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.POLY_RECALL])
     values = [v1, v2]
     for slot, which in enumerate(stmt_order):
         _write(tokens, starts[slot], [ctx[which], key, values[which]])
@@ -246,10 +238,10 @@ def gen_var_tracking(cfg: TaskConfig, index=0) -> TaskSample:
     layout = cfg.layout()
     payload, noise = _rngs(cfg, 3, index)
     tokens = _base_sequence(cfg, noise, layout)
-    m = cfg.chain_len
+    m = CHAIN_LEN
     picks = payload.choice(np.asarray(layout.data), size=m + 1, replace=False)
     chain, value = picks[:m], picks[m]
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.VAR_TRACKING](cfg))
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.VAR_TRACKING])
     _write(tokens, starts[0], [chain[0], value])
     for i in range(1, m):
         _write(tokens, starts[i], [chain[i], chain[i - 1]])
@@ -268,7 +260,7 @@ def gen_local_xor(cfg: TaskConfig, index=0) -> TaskSample:
     payload, noise = _rngs(cfg, 4, index)
     tokens = _base_sequence(cfg, noise, layout)
     a, b = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.LOCAL_XOR](cfg))
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.LOCAL_XOR])
     _write(tokens, s, [a, b, layout.token("TOK_XOR")])
     label = int((a % 2) != (b % 2))
     return TaskSample(tokens, np.asarray([s + 2]),
@@ -280,12 +272,12 @@ def gen_parity(cfg: TaskConfig, index=0) -> TaskSample:
     layout = cfg.layout()
     payload, noise = _rngs(cfg, 5, index)
     tokens = _base_sequence(cfg, noise, layout)
-    bits = payload.integers(0, 2, size=cfg.bits)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PARITY](cfg))
+    bits = payload.integers(0, 2, size=PARITY_BITS)
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PARITY])
     group = [_bit_token(layout, b) for b in bits] + [layout.token("QUERY")]
     _write(tokens, s, group)
     label = int(bits.sum() % 2)
-    return TaskSample(tokens, np.asarray([s + cfg.bits]),
+    return TaskSample(tokens, np.asarray([s + PARITY_BITS]),
                       np.asarray([_bit_token(layout, label)]))
 
 
@@ -294,9 +286,9 @@ def gen_modulo_add(cfg: TaskConfig, index=0) -> TaskSample:
     layout = cfg.layout()
     payload, noise = _rngs(cfg, 6, index)
     tokens = _base_sequence(cfg, noise, layout)
-    m = cfg.modulus
+    m = MODULUS
     a, b = payload.integers(0, m, size=2)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MODULO_ADD](cfg))
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MODULO_ADD])
     _write(tokens, s, [layout.data.start + a, layout.data.start + b,
                        layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 2]),
@@ -315,7 +307,7 @@ def gen_palindrome(cfg: TaskConfig, index=0) -> TaskSample:
         c = a
     else:
         c = payload.choice(data[data != a])
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PALINDROME](cfg))
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PALINDROME])
     _write(tokens, s, [a, b, c, layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 3]),
                       np.asarray([_bit_token(layout, int(a == c))]))
@@ -329,7 +321,7 @@ def gen_silence_gate(cfg: TaskConfig, index=0) -> TaskSample:
     on = bool(payload.integers(0, 2))
     trig = layout.token("ON") if on else layout.token("OFF")
     key, val = payload.choice(np.asarray(layout.data), size=2, replace=False)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.SILENCE_GATE](cfg))
+    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.SILENCE_GATE])
     _write(tokens, starts[0], [trig, key, val])
     s = starts[1]
     _write(tokens, s, [layout.token("QUERY"), key])
@@ -344,7 +336,7 @@ def gen_mux(cfg: TaskConfig, index=0) -> TaskSample:
     tokens = _base_sequence(cfg, noise, layout)
     sel = int(payload.integers(0, 2))
     ch = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MUX](cfg))
+    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MUX])
     sel_tok = layout.token("SEL1") if sel else layout.token("SEL0")
     _write(tokens, s, [sel_tok, ch[0], ch[1], layout.token("QUERY")])
     return TaskSample(tokens, np.asarray([s + 3]), np.asarray([ch[sel]]))
@@ -373,7 +365,7 @@ def generate_batch(kind: TaskKind, cfg: TaskConfig, batch: int, seed: int):
     Returns (tokens (B, N), query_positions (B, Q), targets (B, Q)).
     """
     cfg = replace(cfg, seed=seed)
-    q = queries_per_sample(kind, cfg)
+    q = queries_per_sample(kind)
     tokens = np.empty((batch, cfg.n), dtype=np.int64)
     qpos = np.empty((batch, q), dtype=np.int64)
     tgt = np.empty((batch, q), dtype=np.int64)
@@ -383,121 +375,3 @@ def generate_batch(kind: TaskKind, cfg: TaskConfig, batch: int, seed: int):
         qpos[i] = s.query_positions
         tgt[i] = s.targets
     return tokens, qpos, tgt
-
-
-# --------------------------------------------------------------------------
-# rule-based oracles
-# --------------------------------------------------------------------------
-
-def _payload_groups(tokens, layout):
-    """Contiguous runs of non-noise tokens, as (start, run) pairs."""
-    mask = np.asarray([t not in layout.noise for t in tokens])
-    groups = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            groups.append((i, list(tokens[i:j])))
-            i = j
-        else:
-            i += 1
-    return groups
-
-
-def task_oracle(kind: TaskKind, sample: TaskSample, cfg: TaskConfig) -> np.ndarray:
-    """Recover the targets from the token stream alone, by the task rule."""
-    layout = cfg.layout()
-    toks = sample.tokens
-    query = layout.token("QUERY")
-
-    if kind is TaskKind.MQAR:
-        pairs = {}
-        answers = {}
-        for start, grp in _payload_groups(toks, layout):
-            if grp[0] == query:
-                answers[start + 1] = grp[1]
-            else:
-                pairs[grp[0]] = grp[1]
-        return np.asarray([pairs[answers[p]] for p in sample.query_positions])
-
-    if kind is TaskKind.POLY_RECALL:
-        table = {}
-        q = None
-        for start, grp in _payload_groups(toks, layout):
-            if grp[0] == query:
-                q = (grp[1], grp[2])
-            else:
-                table[(grp[0], grp[1])] = grp[2]
-        return np.asarray([table[q]])
-
-    if kind is TaskKind.VAR_TRACKING:
-        env = {}
-        q = None
-        for start, grp in _payload_groups(toks, layout):
-            if grp[0] == query:
-                q = grp[1]
-            else:
-                env[grp[0]] = grp[1]
-        while q in env:
-            q = env[q]
-        return np.asarray([q])
-
-    if kind is TaskKind.LOCAL_XOR:
-        pos = sample.query_positions[0]
-        a, b = toks[pos - 2], toks[pos - 1]
-        return np.asarray([_bit_token(layout, int((a % 2) != (b % 2)))])
-
-    if kind is TaskKind.PARITY:
-        pos = sample.query_positions[0]
-        bits = toks[pos - cfg.bits:pos] - layout.data.start
-        return np.asarray([_bit_token(layout, int(bits.sum() % 2))])
-
-    if kind is TaskKind.MODULO_ADD:
-        pos = sample.query_positions[0]
-        a = toks[pos - 2] - layout.data.start
-        b = toks[pos - 1] - layout.data.start
-        return np.asarray([layout.data.start + int((a + b) % cfg.modulus)])
-
-    if kind is TaskKind.PALINDROME:
-        pos = sample.query_positions[0]
-        a, c = toks[pos - 3], toks[pos - 1]
-        return np.asarray([_bit_token(layout, int(a == c))])
-
-    if kind is TaskKind.SILENCE_GATE:
-        on_tok, off_tok = layout.token("ON"), layout.token("OFF")
-        stmt = None
-        for start, grp in _payload_groups(toks, layout):
-            if grp[0] in (on_tok, off_tok):
-                stmt = grp
-        if stmt[0] == on_tok:
-            return np.asarray([stmt[2]])
-        return np.asarray([layout.token("NULL")])
-
-    if kind is TaskKind.MUX:
-        pos = sample.query_positions[0]
-        sel = toks[pos - 3]
-        pick = toks[pos - 1] if sel == layout.token("SEL1") else toks[pos - 2]
-        return np.asarray([pick])
-
-    raise ConfigError(f"no oracle for {kind}")
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def sample_to_line(sample: TaskSample) -> str:
-    """One sample per line: tokens | query positions | targets."""
-    f = lambda arr: " ".join(str(int(x)) for x in arr)
-    return f"{f(sample.tokens)} | {f(sample.query_positions)} | {f(sample.targets)}"
-
-
-def sample_from_line(line: str) -> TaskSample:
-    parts = line.strip().split("|")
-    if len(parts) != 3:
-        raise DataError("sample line must have three '|'-separated fields")
-    arrs = [np.asarray([int(x) for x in p.split()]) for p in parts]
-    return TaskSample(tokens=arrs[0], query_positions=arrs[1], targets=arrs[2])

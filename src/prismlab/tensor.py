@@ -300,18 +300,6 @@ def matmul(a, b):
     return out
 
 
-def outer(u, w):
-    """Rank-1 outer product of two length-d vectors: out[i, j] = u[i] w[j]."""
-    if u.data.ndim != 1 or w.data.ndim != 1 or u.data.shape != w.data.shape:
-        raise ShapeError(f"outer: need equal-length vectors, got {u.data.shape} and {w.data.shape}")
-    _check_dtypes(u, w, "outer")
-    out = Tensor(np.outer(u.data, w.data), requires_grad=_wants_grad(u, w))
-    if out.requires_grad:
-        ud, wd = u.data, w.data
-        _record(out, (u, w), lambda g: (g @ wd, ud @ g))
-    return out
-
-
 # -- activations --------------------------------------------------------
 
 def gelu_fn(x):
@@ -358,14 +346,6 @@ def silu(x):
     if out.requires_grad:
         xd = x.data
         _record(out, (x,), lambda g: (g * (s + xd * s * (1.0 - s)),))
-    return out
-
-
-def tanh(x):
-    t = np.tanh(x.data)
-    out = Tensor(t, requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        _record(out, (x,), lambda g: (g * (1.0 - t * t),))
     return out
 
 
@@ -627,37 +607,3 @@ def backward(loss):
                 inp.grad = inp.grad + gi
     graph.nodes.clear()
     state.graph = None
-
-
-def zero_grad(params):
-    for p in params:
-        p.grad = None
-
-
-def grad_check(f, x, h=1e-5):
-    """Max relative error between taped and central-difference gradients.
-
-    ``f`` must map the float64 tensor ``x`` to a scalar tensor. Returns
-    max over coordinates of |g_ad - g_fd| / max(1, |g_fd|). A tensor the
-    loss never touches yields an exactly-zero taped gradient.
-    """
-    x.grad = None
-    out = f(x)
-    backward(out)
-    g_ad = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = None
-
-    g_fd = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    fd_flat = g_fd.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f(x).item()
-            flat[i] = orig - h
-            fm = f(x).item()
-            flat[i] = orig
-            fd_flat[i] = (fp - fm) / (2.0 * h)
-    err = np.abs(g_ad - g_fd) / np.maximum(1.0, np.abs(g_fd))
-    return float(err.max()) if err.size else 0.0

@@ -78,7 +78,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     kind = ModelKind.parse(cfg.model)
     task = TaskKind.parse(cfg.task)
     tcfg = TaskConfig(n=cfg.n, v=cfg.v)
-    need = min_length(task, tcfg)
+    need = min_length(task)
     if cfg.n < need:
         raise ConfigError(f"task {task.value!r} needs n >= {need}, got n = {cfg.n}")
     dtype = cfg.dtype()

@@ -40,6 +40,19 @@ def test_top_level_must_be_object(tmp_path):
         load_config(_write(tmp_path, "[1, 2]"))
 
 
+@pytest.mark.parametrize("text, name", [
+    ('{"seeds": 3}', "seeds"),
+    ('{"d": "16"}', "d"),
+    ('{"lr": "x"}', "lr"),
+    ('{"steps": null}', "steps"),
+    ('{"seeds": ["a"]}', "seeds"),
+    ('{"d": true}', "d"),
+])
+def test_wrongly_typed_value_names_field(tmp_path, text, name):
+    with pytest.raises(ConfigError, match=f"config field '{name}'"):
+        load_config(_write(tmp_path, text))
+
+
 def _record(step, loss):
     return MetricRecord(run_id="la-mqar-s1", model="la", task="mqar", seed=1,
                         step=step, loss=loss, accuracy=0.25, tokens_per_s=1234.5)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grad_check
 from prismlab import tensor as T
 from prismlab.cell import (PrismConfig, PrismParams, StepTerms,
                            chunked_forward, chunked_scan, chunked_scan_forward,
@@ -158,7 +159,7 @@ def _grad_check_all(loss, arrays):
 
         def f(x, name=name):
             return loss({**{k: T.tensor(v) for k, v in arrays.items()}, name: x})
-        assert T.grad_check(f, x) < 1e-6, name
+        assert grad_check(f, x) < 1e-6, name
 
 
 @PROPERTY

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import grad_check
 from prismlab import tensor as T
 from prismlab.errors import DataError, ShapeError, UsageError
 from prismlab.optim import Adam
@@ -52,31 +53,6 @@ def test_matmul_dtype_mismatch():
     with pytest.raises(ShapeError):
         T.matmul(T.tensor(np.ones((2, 2)), dtype=np.float32),
                  T.tensor(np.ones((2, 2)), dtype=np.float64))
-
-
-# ---------------------------------------------------------------- outer
-
-def test_outer_basis():
-    got = T.outer(T.tensor([1.0, 0.0]), T.tensor([0.0, 1.0])).data
-    np.testing.assert_array_equal(got, [[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_outer_zero():
-    got = T.outer(T.tensor([0.0, 0.0, 0.0]), T.tensor([1.0, 2.0, 3.0])).data
-    np.testing.assert_array_equal(got, np.zeros((3, 3)))
-
-
-def test_outer_rank_one():
-    from prismlab.linalg import singular_values
-    rng = np.random.default_rng(7)
-    m = T.outer(rt(rng, 4, False), rt(rng, 4, False))
-    s = singular_values(m).data
-    assert (s > 1e-10 * s[0]).sum() == 1
-
-
-def test_outer_length_mismatch():
-    with pytest.raises(ShapeError):
-        T.outer(T.tensor([1.0, 2.0]), T.tensor([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------- activations
@@ -265,7 +241,7 @@ def test_grad_check_linear_is_exact():
     rng = np.random.default_rng(9)
     w = rng.standard_normal(6)
     x = rt(rng, 6)
-    err = T.grad_check(lambda t: (t * T.tensor(w)).sum(), x)
+    err = grad_check(lambda t: (t * T.tensor(w)).sum(), x)
     assert err < 1e-9
 
 
@@ -273,7 +249,7 @@ def test_grad_check_gelu_chain():
     rng = np.random.default_rng(10)
     w = T.tensor(rng.standard_normal((4, 4)))
     x = rt(rng, (3, 4))
-    err = T.grad_check(lambda t: T.gelu(t @ w).sum(), x)
+    err = grad_check(lambda t: T.gelu(t @ w).sum(), x)
     assert err < 1e-4
 
 
@@ -287,18 +263,33 @@ def test_grad_check_disconnected_input():
     assert x.grad is None  # exactly zero contribution
 
 
+# Output weights of the primitives checked through a weighted sum, so that
+# every output coordinate carries its own gradient.
+_WEIGHT_SHAPES = {"softmax": (3, 5), "mul": (4, 3), "tsum_axis": (3, 2),
+                  "reshape": (2, 6), "transpose": (4, 2, 3), "take_slice": (3, 3)}
+
+
+# A test id carries its entry's index (``shapeN``): add new primitives at
+# the end, so that the ids of the others stay.
 @pytest.mark.parametrize("name,fn,shape", [
     ("matmul", lambda x, aux: (x @ aux).sum(), (4, 4)),
-    ("outer", lambda x, aux: T.outer(x, aux[0]).sum(), (5,)),
+    # (3, 1, 4) + (2, 4): both the size-1 axis and the missing leading axis
+    # of x are summed back.
+    ("add", lambda x, aux: (T.add(x, aux[0]) * aux[1]).sum(), (3, 1, 4)),
     ("gelu", lambda x, aux: T.gelu(x).sum(), (7,)),
     ("silu", lambda x, aux: T.silu(x).sum(), (7,)),
     ("sigmoid", lambda x, aux: T.sigmoid(x).sum(), (7,)),
-    ("tanh", lambda x, aux: T.tanh(x).sum(), (7,)),
+    # (3, 4) - (4,): x is the broadcast right operand.
+    ("sub", lambda x, aux: (T.sub(aux[0], x) * aux[1]).sum(), (4,)),
     ("softmax", lambda x, aux: (T.softmax(x) * aux).sum(), (3, 5)),
     ("conv", lambda x, aux: T.causal_depthwise_conv1d(x, aux).sum(), (6, 2)),
     ("layernorm", lambda x, aux: T.layernorm(x, aux[0], aux[1]).sum(), (3, 4)),
     ("mul", lambda x, aux: (x * aux).sum(), (4, 3)),
     ("div", lambda x, aux: T.div(x, aux).sum(), (6,)),
+    ("tsum_axis", lambda x, aux: (T.tsum(x, axis=1) * aux).sum(), (3, 4, 2)),
+    ("reshape", lambda x, aux: (T.reshape(x, (2, 6)) * aux).sum(), (3, 4)),
+    ("transpose", lambda x, aux: (T.transpose(x, (2, 0, 1)) * aux).sum(), (2, 3, 4)),
+    ("take_slice", lambda x, aux: (x[1:4] * aux).sum(), (5, 3)),
 ])
 def test_grad_check_every_primitive(name, fn, shape):
     # Module invariant: every differentiable primitive passes grad_check
@@ -308,10 +299,14 @@ def test_grad_check_every_primitive(name, fn, shape):
         x = rt(rng, shape)
         if name == "matmul":
             aux = T.tensor(rng.standard_normal((shape[-1], 3)))
-        elif name == "outer":
-            aux = (T.tensor(rng.standard_normal(shape)),)
-        elif name == "softmax":
-            aux = T.tensor(rng.standard_normal(shape))
+        elif name == "add":
+            aux = (T.tensor(rng.standard_normal((2, 4))),
+                   T.tensor(rng.standard_normal((3, 2, 4))))
+        elif name == "sub":
+            aux = (T.tensor(rng.standard_normal((3, 4))),
+                   T.tensor(rng.standard_normal((3, 4))))
+        elif name in _WEIGHT_SHAPES:
+            aux = T.tensor(rng.standard_normal(_WEIGHT_SHAPES[name]))
         elif name == "conv":
             aux = T.tensor(rng.standard_normal((3, shape[-1])))
         elif name == "layernorm":
@@ -319,11 +314,9 @@ def test_grad_check_every_primitive(name, fn, shape):
                    T.tensor(rng.standard_normal(shape[-1])))
         elif name == "div":
             aux = T.tensor(rng.standard_normal(shape) + 3.0)
-        elif name == "mul":
-            aux = T.tensor(rng.standard_normal(shape))
         else:
             aux = None
-        assert T.grad_check(lambda t: fn(t, aux), x) < 1e-4, f"{name} trial {trial}"
+        assert grad_check(lambda t: fn(t, aux), x) < 1e-4, f"{name} trial {trial}"
 
 
 def test_grad_check_cross_entropy():
@@ -331,7 +324,7 @@ def test_grad_check_cross_entropy():
     tgt = rng.integers(0, 5, size=4)
     for _ in range(10):
         x = rt(rng, (4, 5))
-        err = T.grad_check(lambda t: T.softmax_cross_entropy(t, tgt), x)
+        err = grad_check(lambda t: T.softmax_cross_entropy(t, tgt), x)
         assert err < 1e-4
 
 
@@ -340,7 +333,7 @@ def test_grad_check_embedding_and_gather():
     ids = rng.integers(0, 6, size=(2, 5))
     pos = np.array([[1, 3], [0, 4]])
     table = rt(rng, (6, 3))
-    err = T.grad_check(
+    err = grad_check(
         lambda t: T.gelu(T.take_time(T.embedding(t, ids), pos)).sum(), table)
     assert err < 1e-4
 
@@ -417,5 +410,5 @@ def test_determinism_same_seed_same_result():
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(15)
     x = rt(rng, (5, 4), False, scale=30.0)
-    for fn in (T.gelu, T.silu, T.sigmoid, T.tanh):
+    for fn in (T.gelu, T.silu, T.sigmoid):
         assert np.isfinite(fn(x).data).all()
