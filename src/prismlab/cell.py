@@ -11,9 +11,10 @@ carried as its L factor pairs, never as a dense (d, d) matrix. Every
 transition operator depends only on the input prefix, never on the running
 state, which is what makes the chunked scan legal.
 
-Both rollouts share the anchor, the step terms and the fused rank-L
-injection, and differ in the recurrence, one fused tape node with a
-hand-derived backward each:
+Both rollouts take a (B, N, d) batch, run every sequence from a zero
+state, and return (y (B, N, d), S_N (B, d, d)). They share the anchor, the
+step terms and the fused rank-L injection, and differ in the recurrence,
+one fused tape node with a hand-derived backward each:
 
   * ``chunked_forward`` trains and evaluates. Its ``chunked_scan`` solves
     each chunk of ``PrismConfig.chunk`` steps in WY form (chunkwise
@@ -116,29 +117,6 @@ class StepTerms:
 # term computation
 # --------------------------------------------------------------------------
 
-def _batched(x: Tensor):
-    if x.data.ndim == 2:
-        return T.reshape(x, (1,) + x.data.shape), False
-    if x.data.ndim == 3:
-        return x, True
-    raise ShapeError(f"expected (N, d) or (B, N, d) input, got {x.data.shape}")
-
-
-def _initial_state(s0, bsz, d, dtype) -> Tensor:
-    """The rollout's starting state as (B, d, d): zeros when ``s0`` is None,
-    broadcast over the batch when it is one shared (d, d) state. The
-    broadcast is a taped add, so a shared state's gradient sums back to
-    (d, d)."""
-    if s0 is None:
-        return T.zeros((bsz, d, d), dtype=dtype)
-    if s0.data.shape not in ((d, d), (bsz, d, d)):
-        raise ShapeError(f"initial state {s0.data.shape} is neither (d, d) "
-                         f"nor (B, d, d) = {(bsz, d, d)}")
-    if s0.data.ndim == 2:
-        return s0 + T.zeros((bsz, d, d), dtype=s0.data.dtype)
-    return s0
-
-
 def compute_anchor(x: Tensor, params: PrismParams) -> Tensor:
     """Input anchor u = SiLU(causal depthwise conv of x). Causal by
     construction."""
@@ -170,16 +148,15 @@ def compute_step_terms(u: Tensor, params: PrismParams, cfg: PrismConfig) -> Step
     k, p, q, v are plain linear maps of u. k^(1) is pulled into the unit
     ball, satisfying the spectrum bound's hypothesis.
     """
-    ub, _ = _batched(u)
-    alpha = T.sigmoid(ub @ params.w_alpha)
-    terms = StepTerms(u=ub, q=ub @ params.w_q, v=ub @ params.w_v, alpha=alpha)
+    alpha = T.sigmoid(u @ params.w_alpha)
+    terms = StepTerms(u=u, q=u @ params.w_q, v=u @ params.w_v, alpha=alpha)
     for l in range(cfg.L):
-        k_l = ub @ params.w_k[l]
+        k_l = u @ params.w_k[l]
         if l == 0:
             k_l = scale_into_unit_ball(k_l)
         terms.k.append(k_l)
-        terms.p.append(ub @ params.w_p[l])
-        terms.beta.append(T.sigmoid(ub @ params.w_beta[l]))
+        terms.p.append(u @ params.w_p[l])
+        terms.beta.append(T.sigmoid(u @ params.w_beta[l]))
     return terms
 
 
@@ -550,54 +527,39 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
                              (alpha, beta1, *ks, *cs, q, s0), back)
 
 
-def _rollout(x: Tensor, params: PrismParams, cfg: PrismConfig, s0, scan):
-    """Anchor, terms, rank-L injection, then ``scan`` and the projected
-    readout. Returns (y, s_n); y matches the batched-ness of ``x``."""
-    xb, batched = _batched(x)
-    bsz, n, d = xb.data.shape
-    if d != cfg.d:
-        raise ShapeError(f"input channel {d} != config d {cfg.d}")
-    s0 = _initial_state(s0, bsz, d, xb.data.dtype)
-    u = compute_anchor(xb, params)
+def _rollout(x: Tensor, params: PrismParams, cfg: PrismConfig, scan):
+    """Anchor, terms, rank-L injection, then ``scan`` from a zero state and
+    the projected readout: (y, s_n)."""
+    if x.data.ndim != 3 or x.data.shape[2] != cfg.d:
+        raise ShapeError(f"input {x.data.shape} is not (B, N, config d = {cfg.d})")
+    bsz, _, d = x.data.shape
+    u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
     cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-    readout, s_n = scan(terms.alpha, terms.beta[0], terms.k, cs, terms.q, s0)
-    y = readout @ params.w_o
-    if not batched:
-        y = T.reshape(y, (n, d))
-        s_n = T.reshape(s_n, (d, d))
-    return y, s_n
+    readout, s_n = scan(terms.alpha, terms.beta[0], terms.k, cs, terms.q,
+                        T.zeros((bsz, d, d), dtype=x.data.dtype))
+    return readout @ params.w_o, s_n
 
 
-def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
-                   s0: Tensor | None = None):
+def serial_forward(x: Tensor, params: PrismParams, cfg: PrismConfig):
     """Differentiable PRISM rollout through the N-step ``scan_core``: the
-    test oracle of ``chunked_forward``.
-
-    Returns (y, s_n); y matches the batched-ness of ``x``.
-    """
-    return _rollout(x, params, cfg, s0, scan_core)
+    test oracle of ``chunked_forward``."""
+    return _rollout(x, params, cfg, scan_core)
 
 
-def chunked_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
-                    s0: Tensor | None = None):
+def chunked_forward(x: Tensor, params: PrismParams, cfg: PrismConfig):
     """Differentiable PRISM rollout through ``chunked_scan`` with chunks of
     ``cfg.chunk`` steps: the path that trains and evaluates. Agrees with
     ``serial_forward`` in outputs, final state and every gradient to float
-    tolerance.
-
-    Returns (y, s_n); y matches the batched-ness of ``x``.
-    """
-    return _rollout(x, params, cfg, s0,
-                    lambda *args: chunked_scan(*args, chunk=cfg.chunk))
+    tolerance."""
+    return _rollout(x, params, cfg, lambda *args: chunked_scan(*args, chunk=cfg.chunk))
 
 
-def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig,
-                         s0: Tensor | None = None):
+def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig):
     """``chunked_forward`` without the tape: records no node and carries no
     gradient, even when the parameters require one."""
     with T.no_grad():
-        return chunked_forward(x, params, cfg, s0)
+        return chunked_forward(x, params, cfg)
 
 
 # --------------------------------------------------------------------------

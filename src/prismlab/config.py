@@ -10,6 +10,7 @@ the wall-clock ``tokens_per_s``.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -52,8 +53,9 @@ class RunConfig:
                 raise ConfigError(f"config field '{name}' must be positive")
         if self.steps < 0:
             raise ConfigError("config field 'steps' must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("config field 'lr' must be positive")
+        if not 0 < self.lr < math.inf:  # also refuses NaN
+            raise ConfigError(f"config field 'lr' must be positive and finite, "
+                              f"got {self.lr!r}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("config field 'precision' must be 'f32' or 'f64'")
         if not self.seeds or not all(_is_a(s, numbers.Integral) for s in self.seeds):
@@ -105,7 +107,6 @@ class MetricRecord:
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0):
             raise ConfigError(f"accuracy {self.accuracy} outside [0, 1]")
-        import math
         if not math.isfinite(self.loss):
             raise ConfigError("loss must be finite")
 

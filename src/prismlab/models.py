@@ -4,8 +4,9 @@ All models share one body -- embedding, two pre-norm mixer blocks,
 final layernorm, untied output head -- and differ only in the mixer:
 PRISM, masked linear attention, a 4-expert mixture of gated
 linear-attention memories with soft routing (MoM), or 2-head causal softmax
-attention (the full-rank upper bound). Only the transformer receives
-positional embeddings; the recurrent mixers get order from their scans.
+attention (the full-rank upper bound). Every mixer maps a (B, N, d) batch
+to (B, N, d). Only the transformer receives positional embeddings; the
+recurrent mixers get order from their scans.
 
 MoM stacks its experts: each of its gate, key, value and query projections
 is one (d, 4d) matrix whose column block i belongs to expert i, and the
@@ -182,10 +183,10 @@ def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
     y_t = sum_{i<=t} (q_t . k_i) v_i, identical to rolling
     S_t = S_{t-1} + v_t k_t^T with readout S_t q_t.
     """
-    n = x.data.shape[-2]
+    n = x.data.shape[1]
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
     mask = T.tensor(np.tril(np.ones((n, n), dtype=x.data.dtype)), dtype=x.data.dtype)
-    scores = q @ T.transpose(k, (0, 2, 1) if x.data.ndim == 3 else (1, 0))
+    scores = q @ T.transpose(k, (0, 2, 1))
     return ((scores * mask) @ v) @ p.w_o
 
 
@@ -235,9 +236,6 @@ def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
     that each projection is one product whose (N, B*E, d) view is the
     input of one ``blocked_gated_scan`` over every sample's experts.
     """
-    squeeze = x.data.ndim == 2
-    if squeeze:
-        x = T.reshape(x, (1,) + x.data.shape)
     bsz, n, d = x.data.shape
     rows = T.reshape(T.transpose(x, (1, 0, 2)), (n * bsz, d))
     mems = (n, bsz * N_EXPERTS, d)
@@ -247,8 +245,7 @@ def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
     weights = T.softmax(rows @ p.w_router + p.b_router, axis=-1)  # (N*B, E)
     blended = T.tsum(T.reshape(out, (n * bsz, N_EXPERTS, d))
                      * T.reshape(weights, (n * bsz, N_EXPERTS, 1)), axis=1)
-    y = T.transpose(T.reshape(blended @ p.w_o, (n, bsz, d)), (1, 0, 2))
-    return T.reshape(y, (n, d)) if squeeze else y
+    return T.transpose(T.reshape(blended @ p.w_o, (n, bsz, d)), (1, 0, 2))
 
 
 @dataclass
@@ -268,11 +265,8 @@ class AttnParams:
         yield from (self.w_q, self.w_k, self.w_v, self.w_o)
 
 
-def causal_attention(x: Tensor, p: AttnParams, return_weights=False):
+def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
     """Multi-head softmax attention under a strict causal mask."""
-    squeeze = x.data.ndim == 2
-    if squeeze:
-        x = T.reshape(x, (1,) + x.data.shape)
     bsz, n, d = x.data.shape
     h = N_HEADS
     hd = d // h
@@ -287,12 +281,7 @@ def causal_attention(x: Tensor, p: AttnParams, return_weights=False):
     att = T.softmax(scores + T.tensor(mask, dtype=x.data.dtype), axis=-1)
     ctx = att @ v
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, n, d))
-    y = ctx @ p.w_o
-    if squeeze:
-        y = T.reshape(y, (n, d))
-    if return_weights:
-        return y, att
-    return y
+    return ctx @ p.w_o
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The graph is a flat tape: every differentiable operation appends one node
 in execution order, and ``backward`` walks the tape strictly in reverse,
 accumulating (summing) gradients into every tensor that contributed.
 A tape is consumable exactly once; the next recorded operation starts a
-fresh one. Tapes are thread-local, so independent graphs may run on
-separate threads with no shared mutable state.
+fresh one. The tape and the ``no_grad`` switch are module state, one per
+process: graphs are built and consumed one at a time, and parallel work
+runs in separate processes.
 
 Only first-order gradients are supported: backward functions work on raw
 numpy arrays and are never themselves taped.
@@ -14,7 +15,6 @@ numpy arrays and are never themselves taped.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import erf
@@ -24,51 +24,32 @@ from .errors import DataError, ShapeError, UsageError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_tls = threading.local()
-
-
-def _ensure_state():
-    if not hasattr(_tls, "graph"):
-        _tls.graph = None
-        _tls.grad_enabled = True
-    return _tls
-
-
-class GradGraph:
-    """Ordered record of executed differentiable operations (a tape)."""
-
-    __slots__ = ("nodes", "consumed")
-
-    def __init__(self):
-        self.nodes = []
-        self.consumed = False
+_tape = []          # (out, inputs, backward_fn) nodes in execution order
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager that disables taping inside its scope."""
 
     def __enter__(self):
-        state = _ensure_state()
-        self._prev = state.grad_enabled
-        state.grad_enabled = False
+        global _grad_enabled
+        self._prev, _grad_enabled = _grad_enabled, False
         return self
 
     def __exit__(self, *exc):
-        _ensure_state().grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
 def grad_enabled():
-    return _ensure_state().grad_enabled
+    return _grad_enabled
 
 
 def _record(out, inputs, backward_fn):
     """Append one tape node. ``backward_fn(g)`` returns one gradient
     array (or None) per input, aligned with ``inputs``."""
-    state = _ensure_state()
-    if state.graph is None or state.graph.consumed:
-        state.graph = GradGraph()
-    state.graph.nodes.append((out, inputs, backward_fn))
+    _tape.append((out, inputs, backward_fn))
 
 
 class Tensor:
@@ -572,16 +553,15 @@ def backward(loss):
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    state = _ensure_state()
-    graph = state.graph
-    if graph is None or graph.consumed:
+    global _tape
+    nodes, _tape = _tape, []
+    if not nodes:
         if loss.requires_grad:
             raise UsageError("graph already consumed; rerun the forward pass")
         # Loss is disconnected from any tape (e.g. pure-constant graph).
         return
-    graph.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, back in reversed(graph.nodes):
+    for out, inputs, back in reversed(nodes):
         if isinstance(out, tuple):
             gs = [o.grad for o in out]
             if all(g is None for g in gs):
@@ -605,5 +585,3 @@ def backward(loss):
                 inp.grad = gi
             else:
                 inp.grad = inp.grad + gi
-    graph.nodes.clear()
-    state.graph = None

@@ -43,6 +43,8 @@ def query_accuracy(logits_data, qpos, targets):
 
 def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPLES):
     """Held-out evaluation on freshly generated samples."""
+    if n_samples < 1:
+        raise ConfigError(f"evaluation needs n_samples >= 1, got {n_samples}")
     total_loss = 0.0
     total_acc = 0.0
     done = 0
@@ -70,8 +72,9 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     """Train one (model, task, seed) cell and return its metric history.
 
     steps=0 evaluates the random initialization. An ``n`` too short for
-    the task's payload raises ConfigError before the model is built. A
-    non-finite loss aborts with the failing step index. ``tokens_per_s`` times only the forward
+    the task's payload, or an ``eval_every`` or ``eval_samples`` below 1,
+    raises ConfigError before the model is built. A non-finite loss aborts
+    with the failing step index. ``tokens_per_s`` times only the forward
     pass, the backward pass and the update: batch generation and the
     evaluations behind each snapshot are left out.
     """
@@ -81,6 +84,9 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     need = min_length(task)
     if cfg.n < need:
         raise ConfigError(f"task {task.value!r} needs n >= {need}, got n = {cfg.n}")
+    for name, value in (("eval_every", eval_every), ("eval_samples", eval_samples)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     dtype = cfg.dtype()
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)

@@ -11,7 +11,9 @@ tests rather than in the package:
     associative composition;
   * the rule-based task oracle, which recovers every probe task's targets
     from the token stream alone;
-  * ``grad_check``: taped gradients against central differences.
+  * ``grad_check``: taped gradients against central differences;
+  * ``assert_chunked_scan_matches_serial``: ``chunked_scan`` against its
+    serial oracle ``scan_core``, in outputs and every gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prismlab import tensor as T
-from prismlab.cell import StepTerms
+from prismlab.cell import StepTerms, chunked_scan, scan_core
 from prismlab.errors import ConfigError, NumericError, ShapeError
 from prismlab.tasks import MODULUS, PARITY_BITS, TaskConfig, TaskKind, TaskSample, _bit_token
 
@@ -302,3 +304,41 @@ def grad_check(f, x, h=1e-5):
             fd_flat[i] = (fp - fm) / (2.0 * h)
     err = np.abs(g_ad - g_fd) / np.maximum(1.0, np.abs(g_fd))
     return float(err.max()) if err.size else 0.0
+
+
+# --------------------------------------------------------------------------
+# scan equivalence
+# --------------------------------------------------------------------------
+
+def run_scan(scan, a, L):
+    """``scan`` on the tensors ``a`` by name: alpha, beta1, q, k0.., c0..
+    and an optional start state s0, either (B, d, d) or one (d, d) state
+    broadcast over the batch by a taped add (zeros when absent). Returns
+    (out, s_n)."""
+    bsz, _, d = a["q"].shape
+    s0 = T.zeros((bsz, d, d))
+    if "s0" in a:
+        s0 = a["s0"] + s0
+    return scan(a["alpha"], a["beta1"], [a[f"k{l}"] for l in range(L)],
+                [a[f"c{l}"] for l in range(L)], a["q"], s0)
+
+
+def assert_chunked_scan_matches_serial(arrays, L, chunk):
+    """``chunked_scan``'s readouts, end state and the gradients of a fixed
+    linear loss with respect to every array of ``run_scan``'s inputs, s0's
+    included, equal ``scan_core``'s to 1e-10 (float64)."""
+    rng = np.random.default_rng(0)
+    bsz, n, d = arrays["q"].shape
+    w_out = T.tensor(rng.standard_normal((bsz, n, d)))
+    w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
+    runs = []
+    for scan in (scan_core, lambda *args: chunked_scan(*args, chunk=chunk)):
+        ts = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        out, s_n = run_scan(scan, ts, L)
+        T.backward((out * w_out).sum() + (s_n * w_sn).sum())
+        runs.append({"out": out.data, "s_n": s_n.data,
+                     **{name: t.grad for name, t in ts.items()}})
+    want, got = runs
+    for name, w in want.items():
+        assert np.isfinite(got[name]).all(), name
+        np.testing.assert_allclose(got[name], w, rtol=1e-10, atol=1e-10, err_msg=name)

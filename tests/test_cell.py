@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (TransitionPair, build_transition, compose_transitions,
-                     dense_transitions, grad_check)
+from oracles import (TransitionPair, assert_chunked_scan_matches_serial,
+                     build_transition, compose_transitions, dense_transitions,
+                     grad_check)
 from prismlab import tensor as T
 from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
                            StepTerms, chunked_forward, chunked_scan,
@@ -38,8 +39,9 @@ def _gelu(x):
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def naive_prism_rollout(x, params, cfg, s0=None):
-    """Independent per-element re-implementation of the PRISM forward."""
+def naive_prism_rollout(x, params, cfg):
+    """Independent per-element re-implementation of the PRISM forward of
+    one (N, d) sequence from a zero state."""
     n, d = x.shape
     w = cfg.w
     kern = params.conv.data
@@ -50,7 +52,7 @@ def naive_prism_rollout(x, params, cfg, s0=None):
             u[t] += kern[j] * xp[t + j]
     u = u * _sigmoid(u)
 
-    s = np.zeros((d, d)) if s0 is None else s0.copy()
+    s = np.zeros((d, d))
     y = np.zeros((n, d))
     for t in range(n):
         ut = u[t]
@@ -438,28 +440,40 @@ def test_chunked_scan_forward_records_no_tape(monkeypatch):
     assert not (y.requires_grad or s_n.requires_grad)
 
 
-def test_serial_single_step_equals_transition():
-    cfg, params, rng = make({"d": 5, "L": 2}, seed=13)
-    x = rng.standard_normal((1, 5))
-    s0 = rng.standard_normal((5, 5))
-    y, s1 = serial_forward(T.tensor(x), params, cfg, s0=T.tensor(s0))
-    u = compute_anchor(T.tensor(x.reshape(1, 1, 5)), params)
+def cell_terms(x, params, cfg):
+    """The step terms and the injection columns of the cell on x."""
+    u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
     cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    return terms, cs
+
+
+def scan_from(terms, cs, s0):
+    """scan_core over the cell's terms from the (B, d, d) array s0."""
+    return scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, T.tensor(s0))
+
+
+def test_serial_single_step_equals_transition():
+    cfg, params, rng = make({"d": 5, "L": 2}, seed=13)
+    x = rng.standard_normal((1, 1, 5))
+    s0 = rng.standard_normal((5, 5))
+    terms, cs = cell_terms(T.tensor(x), params, cfg)
+    readout, s1 = scan_from(terms, cs, s0[None])
     pair = build_transition(terms, cs)
     want_s1 = pair.apply(s0)
-    np.testing.assert_allclose(s1.data, want_s1, atol=1e-12)
+    np.testing.assert_allclose(s1.data[0], want_s1, atol=1e-12)
     want_y = (want_s1 @ terms.q.data[0, 0]) @ params.w_o.data
-    np.testing.assert_allclose(y.data[0], want_y, atol=1e-12)
+    np.testing.assert_allclose((readout @ params.w_o).data[0, 0], want_y, atol=1e-12)
 
 
 def test_serial_forward_matches_naive_oracle():
     cfg, params, rng = make({"d": 8, "L": 2}, seed=14)
-    x = rng.standard_normal((32, 8))
+    x = rng.standard_normal((2, 32, 8))
     y, s_n = serial_forward(T.tensor(x), params, cfg)
-    want_y, want_s = naive_prism_rollout(x, params, cfg)
-    assert np.abs(y.data - want_y).max() < 1e-10
-    assert np.abs(s_n.data - want_s).max() < 1e-10
+    for b in range(2):
+        want_y, want_s = naive_prism_rollout(x[b], params, cfg)
+        assert np.abs(y.data[b] - want_y).max() < 1e-10
+        assert np.abs(s_n.data[b] - want_s).max() < 1e-10
 
 
 def _nan_scan_inputs(rng, n, d, bad_step):
@@ -512,33 +526,13 @@ def test_chunked_scan_state_overflow_reports_chunk_end():
         assert exc.value.step == 5
 
 
-def _scan_run(scan, arrays, L, weights):
-    ts = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
-    out, s_n = scan(ts["alpha"], ts["beta1"], [ts[f"k{l}"] for l in range(L)],
-                    [ts[f"c{l}"] for l in range(L)], ts["q"], ts["s0"])
-    T.backward((out * weights[0]).sum() + (s_n * weights[1]).sum())
-    return {"out": out.data, "s_n": s_n.data, **{n: t.grad for n, t in ts.items()}}
-
-
-def _assert_chunked_scan_matches_serial(arrays, L, chunk):
-    rng = np.random.default_rng(0)
-    bsz, n, d = arrays["q"].shape
-    weights = (T.tensor(rng.standard_normal((bsz, n, d))),
-               T.tensor(rng.standard_normal((bsz, d, d))))
-    want = _scan_run(scan_core, arrays, L, weights)
-    got = _scan_run(lambda *a: chunked_scan(*a, chunk=chunk), arrays, L, weights)
-    for name, w in want.items():
-        assert np.isfinite(got[name]).all(), name
-        np.testing.assert_allclose(got[name], w, rtol=1e-10, atol=1e-10, err_msg=name)
-
-
 def test_chunked_scan_alpha_zero_matches_serial():
     # log 0 must not turn into NaN, and the gradient at alpha = 0 is the
     # serial one, <G_t, S_{t-1} - beta1 m k1^T>, not a 0 / 0.
     arrays = _scan_arrays(np.random.default_rng(47), 2, 10, 3, 2)
     arrays["alpha"][:, 5] = 0.0       # inside a chunk
     arrays["alpha"][0, 8] = 0.0       # at a chunk start
-    _assert_chunked_scan_matches_serial(arrays, 2, chunk=4)
+    assert_chunked_scan_matches_serial(arrays, 2, chunk=4)
 
 
 def test_chunked_scan_unit_erase_matches_serial():
@@ -551,7 +545,7 @@ def test_chunked_scan_unit_erase_matches_serial():
     arrays["k0"] = k1 / np.linalg.norm(k1, axis=-1, keepdims=True)
     arrays["beta1"][:] = 1.0
     arrays["alpha"][:] = rng.uniform(0.95, 1.0, (2, 16))
-    _assert_chunked_scan_matches_serial(arrays, 2, chunk=8)
+    assert_chunked_scan_matches_serial(arrays, 2, chunk=8)
 
 
 def test_config_validation():
@@ -565,7 +559,7 @@ def test_config_validation():
 
 def test_chunk_one_degenerates_to_serial():
     cfg, params, rng = make({"d": 6, "chunk": 1}, seed=16)
-    x = T.tensor(rng.standard_normal((17, 6)))
+    x = T.tensor(rng.standard_normal((1, 17, 6)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-12
@@ -574,7 +568,7 @@ def test_chunk_one_degenerates_to_serial():
 
 def test_chunk_full_sequence_single_chunk():
     cfg, params, rng = make({"d": 6, "chunk": 64}, seed=17)
-    x = T.tensor(rng.standard_normal((16, 6)))
+    x = T.tensor(rng.standard_normal((1, 16, 6)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-12
@@ -585,7 +579,7 @@ def test_scan_equivalence_chunks(chunk):
     cfg = PrismConfig(d=16, L=2, chunk=chunk)
     rng = np.random.default_rng(100 + chunk)
     params = PrismParams.init(rng, cfg)
-    x = T.tensor(rng.standard_normal((256, 16)))
+    x = T.tensor(rng.standard_normal((1, 256, 16)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-9
@@ -596,7 +590,7 @@ def test_scan_equivalence_float32():
     cfg = PrismConfig(d=16, L=2, chunk=16)
     rng = np.random.default_rng(18)
     params = PrismParams.init(rng, cfg, dtype=np.float32)
-    x = T.tensor(rng.standard_normal((256, 16)), dtype=np.float32)
+    x = T.tensor(rng.standard_normal((1, 256, 16)), dtype=np.float32)
     y1, _ = serial_forward(x, params, cfg)
     y2, _ = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-4
@@ -604,31 +598,9 @@ def test_scan_equivalence_float32():
 
 def test_chunked_carries_no_gradient():
     cfg, params, rng = make({"d": 4}, seed=19)
-    x = T.Tensor(rng.standard_normal((8, 4)), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((1, 8, 4)), requires_grad=True)
     y, _ = chunked_scan_forward(x, params, cfg)
     assert not y.requires_grad
-
-
-def test_shared_initial_state_serial_matches_chunked():
-    cfg, params, rng = make({"d": 4, "chunk": 4}, seed=40)
-    x = T.tensor(rng.standard_normal((3, 10, 4)))
-    s0 = rng.standard_normal((4, 4))
-    y1, s1 = serial_forward(x, params, cfg, s0=T.tensor(s0))
-    y2, s2 = chunked_scan_forward(x, params, cfg, s0=T.tensor(s0))
-    assert np.abs(y1.data - y2.data).max() < 1e-12
-    assert np.abs(s1.data - s2.data).max() < 1e-12
-    per_sample = T.tensor(np.broadcast_to(s0, (3, 4, 4)).copy())
-    y3, _ = serial_forward(x, params, cfg, s0=per_sample)
-    np.testing.assert_array_equal(y1.data, y3.data)
-
-
-def test_shared_initial_state_gradient():
-    cfg, params, rng = make({"d": 3, "L": 1}, seed=41)
-    x = T.tensor(rng.standard_normal((2, 5, 3)))
-    w = T.tensor(rng.standard_normal((2, 5, 3)))
-    s0 = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    err = grad_check(lambda t: (serial_forward(x, params, cfg, s0=t)[0] * w).sum(), s0)
-    assert err < 1e-6
 
 
 @pytest.mark.parametrize("forward", [serial_forward, chunked_scan_forward])
@@ -636,9 +608,8 @@ def test_bad_shapes_raise_shape_error(forward):
     cfg, params, rng = make({"d": 4}, seed=42)
     with pytest.raises(ShapeError, match="config d"):
         forward(T.tensor(rng.standard_normal((2, 8, 5))), params, cfg)
-    with pytest.raises(ShapeError, match="initial state"):
-        forward(T.tensor(rng.standard_normal((3, 8, 4))), params, cfg,
-                s0=T.tensor(np.zeros((2, 4, 4))))
+    with pytest.raises(ShapeError, match=r"\(8, 4\) is not \(B, N, config d"):
+        forward(T.tensor(rng.standard_normal((8, 4))), params, cfg)
 
 
 def test_state_independence_of_transition_pairs():
@@ -646,21 +617,14 @@ def test_state_independence_of_transition_pairs():
     # so changing S0 changes the rollout but not one (A_t, B_t).
     cfg, params, rng = make({"d": 5}, seed=20)
     x = T.tensor(rng.standard_normal((1, 10, 5)))
-    u = compute_anchor(x, params)
-    terms = compute_step_terms(u, params, cfg)
-    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
+    terms, cs = cell_terms(x, params, cfg)
     a1, b1 = dense_transitions(terms, cs)
 
-    s0a = T.tensor(np.zeros((1, 5, 5)))
-    s0b = T.tensor(rng.standard_normal((1, 5, 5)))
-    y_a, _ = serial_forward(x, params, cfg, s0=s0a)
-    y_b, _ = serial_forward(x, params, cfg, s0=s0b)
+    y_a, _ = scan_from(terms, cs, np.zeros((1, 5, 5)))
+    y_b, _ = scan_from(terms, cs, rng.standard_normal((1, 5, 5)))
     assert np.abs(y_a.data - y_b.data).max() > 1e-8  # rollout differs
 
-    u2 = compute_anchor(x, params)
-    terms2 = compute_step_terms(u2, params, cfg)
-    cs2, _ = rank_accumulate(terms2, terms2.v, u2, cfg)
-    a2, b2d = dense_transitions(terms2, cs2)
+    a2, b2d = dense_transitions(*cell_terms(x, params, cfg))
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(b1, b2d)
 
@@ -668,23 +632,19 @@ def test_state_independence_of_transition_pairs():
 def test_output_causality():
     cfg, params, rng = make(seed=21)
     n = 24
-    x = rng.standard_normal((n, cfg.d))
+    x = rng.standard_normal((1, n, cfg.d))
     y0, _ = serial_forward(T.tensor(x), params, cfg)
     for pos in rng.choice(n, size=5, replace=False):
         x2 = x.copy()
-        x2[pos] += 1.7
+        x2[0, pos] += 1.7
         y1, _ = serial_forward(T.tensor(x2), params, cfg)
-        np.testing.assert_array_equal(y0.data[:pos], y1.data[:pos])
+        np.testing.assert_array_equal(y0.data[:, :pos], y1.data[:, :pos])
 
 
 # ---------------------------------------------------------------- spectrum / rank
 
 def rollout_terms(cfg, params, n, rng):
-    x = T.tensor(rng.standard_normal((1, n, cfg.d)))
-    u = compute_anchor(x, params)
-    terms = compute_step_terms(u, params, cfg)
-    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-    return terms, cs
+    return cell_terms(T.tensor(rng.standard_normal((1, n, cfg.d))), params, cfg)
 
 
 def test_spectrum_analytic_and_numeric():
@@ -714,7 +674,7 @@ def test_rank_bound_and_typical_rank():
 
 def test_state_norm_stays_bounded():
     cfg, params, rng = make(seed=24)
-    x = T.tensor(rng.standard_normal((512, cfg.d)))
+    x = T.tensor(rng.standard_normal((1, 512, cfg.d)))
     _, s_n = serial_forward(x, params, cfg)
     assert np.linalg.norm(s_n.data) < 1e3
 
@@ -747,7 +707,7 @@ def test_block_zero_output_projections_identity():
     block = PrismBlockParams.init(rng, cfg)
     block.prism.w_o.data[:] = 0.0
     block.mlp_w2.data[:] = 0.0
-    x = rng.standard_normal((9, 6))
+    x = rng.standard_normal((1, 9, 6))
     y = prism_block_forward(T.tensor(x), block, cfg)
     np.testing.assert_array_equal(y.data, x)
 
@@ -755,9 +715,9 @@ def test_block_zero_output_projections_identity():
 def test_block_shape_preserved_and_grad_reaches_conv():
     cfg, _, rng = make({"d": 6}, seed=27)
     block = PrismBlockParams.init(rng, cfg)
-    x = T.Tensor(rng.standard_normal((7, 6)), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((1, 7, 6)), requires_grad=True)
     y = prism_block_forward(x, block, cfg)
-    assert y.shape == (7, 6)
+    assert y.shape == (1, 7, 6)
     T.backward((y * y).sum())
     assert block.prism.conv.grad is not None
     assert np.abs(block.prism.conv.grad).max() > 0
@@ -767,6 +727,6 @@ def test_block_gradcheck_small():
     cfg = PrismConfig(d=3, L=2, w=2, chunk=2)
     rng = np.random.default_rng(28)
     block = PrismBlockParams.init(rng, cfg)
-    x = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((1, 4, 3)), requires_grad=True)
     err = grad_check(lambda t: prism_block_forward(t, block, cfg).sum(), x)
     assert err < 1e-4

@@ -53,6 +53,12 @@ def test_wrongly_typed_value_names_field(tmp_path, text, name):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text", ['{"lr": NaN}', '{"lr": Infinity}'])
+def test_non_finite_lr_is_refused(tmp_path, text):
+    with pytest.raises(ConfigError, match="config field 'lr' must be positive and finite"):
+        load_config(_write(tmp_path, text))
+
+
 def _record(step, loss):
     return MetricRecord(run_id="la-mqar-s1", model="la", task="mqar", seed=1,
                         step=step, loss=loss, accuracy=0.25, tokens_per_s=1234.5)

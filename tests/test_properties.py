@@ -1,15 +1,15 @@
-"""Property tests of the PRISM cell over batch, length, chunk, L, dtype and
-the shape of the initial state: serial and chunked paths agree in outputs
-and in every gradient, the fused nodes match finite differences, and
-outputs are causal. The blocked gated scan of the MoM mixer agrees with
-its step-by-step oracle in the same way."""
+"""Property tests of the PRISM cell over batch, length, chunk, L and dtype:
+the serial and chunked rollouts agree in outputs and in every gradient, and
+so do their two scans from a random start state; the fused nodes match
+finite differences, and outputs are causal. The blocked gated scan of the
+MoM mixer agrees with its step-by-step oracle in the same way."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check
+from oracles import assert_chunked_scan_matches_serial, grad_check, run_scan
 from prismlab import tensor as T
 from prismlab.cell import (PrismConfig, PrismParams, StepTerms,
                            chunked_forward, chunked_scan, chunked_scan_forward,
@@ -23,13 +23,9 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 DTYPE_TOL = {np.float32: 1e-4, np.float64: 1e-10}
 
 
-def _cell(rng, cfg, bsz, n, dtype, s0_kind):
-    d = cfg.d
+def _cell(rng, cfg, bsz, n, dtype):
     params = PrismParams.init(rng, cfg, dtype=dtype)
-    x = rng.standard_normal((bsz, n, d)).astype(dtype)
-    shape = {None: None, "shared": (d, d), "batched": (bsz, d, d)}[s0_kind]
-    s0 = None if shape is None else rng.standard_normal(shape).astype(dtype)
-    return cfg, params, x, s0
+    return cfg, params, rng.standard_normal((bsz, n, cfg.d)).astype(dtype)
 
 
 @st.composite
@@ -38,23 +34,21 @@ def cells(draw, dtypes=(np.float32, np.float64)):
                       w=draw(st.integers(1, 3)), chunk=draw(st.integers(1, 8)))
     bsz, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
     dtype = draw(st.sampled_from(dtypes))
-    s0_kind = draw(st.sampled_from([None, "shared", "batched"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return _cell(rng, cfg, bsz, n, dtype, s0_kind)
+    return _cell(rng, cfg, bsz, n, dtype)
 
 
-def _run(forward, cfg, params, x, s0):
-    s0 = None if s0 is None else T.tensor(s0, dtype=x.dtype)
-    y, s_n = forward(T.tensor(x, dtype=x.dtype), params, cfg, s0=s0)
+def _run(forward, cfg, params, x):
+    y, s_n = forward(T.tensor(x, dtype=x.dtype), params, cfg)
     return y.data, s_n.data
 
 
 @PROPERTY
 @given(cells())
 def test_serial_equals_chunked(cell):
-    cfg, params, x, s0 = cell
-    y1, s1 = _run(serial_forward, cfg, params, x, s0)
-    y2, s2 = _run(chunked_scan_forward, cfg, params, x, s0)
+    cfg, params, x = cell
+    y1, s1 = _run(serial_forward, cfg, params, x)
+    y2, s2 = _run(chunked_scan_forward, cfg, params, x)
     tol = DTYPE_TOL[x.dtype.type]
     np.testing.assert_allclose(y2, y1, rtol=tol, atol=tol)
     np.testing.assert_allclose(s2, s1, rtol=tol, atol=tol)
@@ -102,24 +96,22 @@ def test_blocked_gated_scan_equals_oracle_cases(n, m, d):
     _assert_blocked_matches_oracle(n, m, d, seed=n)
 
 
-def _outputs_and_gradients(forward, cfg, params, x, s0):
+def _outputs_and_gradients(forward, cfg, params, x):
     """y, s_n and the gradients of a fixed linear loss of both with respect
-    to x, every parameter and s0."""
+    to x and every parameter."""
     rng = np.random.default_rng(0)
     for p in params.params():
         p.grad = None
     xt = T.Tensor(x, requires_grad=True)
-    s0t = None if s0 is None else T.Tensor(s0, requires_grad=True)
-    y, s_n = forward(xt, params, cfg, s0=s0t)
+    y, s_n = forward(xt, params, cfg)
     T.backward((y * T.tensor(rng.standard_normal(y.shape))).sum()
                + (s_n * T.tensor(rng.standard_normal(s_n.shape))).sum())
-    grads = [xt.grad] + [p.grad for p in params.params()]
-    return [y.data, s_n.data] + grads + ([] if s0t is None else [s0t.grad])
+    return [y.data, s_n.data, xt.grad] + [p.grad for p in params.params()]
 
 
-def _assert_gradients_agree(cfg, params, x, s0):
-    want = _outputs_and_gradients(serial_forward, cfg, params, x, s0)
-    got = _outputs_and_gradients(chunked_forward, cfg, params, x, s0)
+def _assert_gradients_agree(cfg, params, x):
+    want = _outputs_and_gradients(serial_forward, cfg, params, x)
+    got = _outputs_and_gradients(chunked_forward, cfg, params, x)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10, err_msg=str(i))
@@ -135,21 +127,27 @@ def test_serial_equals_chunked_gradients(cell):
 @pytest.mark.parametrize("n, chunk", [(7, 1), (5, 8), (10, 4), (0, 4)],
                          ids=["chunk-1", "chunk-over-n", "n-not-multiple", "empty"])
 def test_serial_equals_chunked_gradients_cases(n, chunk, s0_kind):
-    cfg = PrismConfig(d=3, L=2, w=2, chunk=chunk)
-    _assert_gradients_agree(*_cell(np.random.default_rng(n), cfg, 2, n,
-                                   np.float64, s0_kind))
+    # None: the rollouts, which take no start state. Otherwise their scans
+    # from a random start state, one (d, d) shared by the batch or one per
+    # sample.
+    if s0_kind is None:
+        cfg = PrismConfig(d=3, L=2, w=2, chunk=chunk)
+        _assert_gradients_agree(*_cell(np.random.default_rng(n), cfg, 2, n, np.float64))
+    else:
+        arrays = _scan_arrays(np.random.default_rng(n), 2, n, 3, 2, s0_kind)
+        assert_chunked_scan_matches_serial(arrays, 2, chunk)
 
 
 @PROPERTY
 @given(cells(), st.data())
 def test_outputs_are_causal(cell, data):
-    cfg, params, x, s0 = cell
+    cfg, params, x = cell
     t = data.draw(st.integers(0, x.shape[1] - 1))
     x2 = x.copy()
     x2[:, t] += 1.5
     for forward in (serial_forward, chunked_scan_forward):
-        y1, _ = _run(forward, cfg, params, x, s0)
-        y2, _ = _run(forward, cfg, params, x2, s0)
+        y1, _ = _run(forward, cfg, params, x)
+        y2, _ = _run(forward, cfg, params, x2)
         np.testing.assert_array_equal(y2[:, :t], y1[:, :t])
 
 
@@ -184,8 +182,9 @@ def test_rank_accumulate_gradients(bsz, n, d, L, seed):
     _grad_check_all(loss, arrays)
 
 
-def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
-    rng = np.random.default_rng(seed)
+def _scan_arrays(rng, bsz, n, d, L, s0_kind):
+    """Inputs of scan_core by name; the start state "s0" is (d, d) when
+    ``s0_kind`` is "shared", (B, d, d) when "batched", absent when "none"."""
     arrays = {"alpha": rng.uniform(0.3, 1.0, (bsz, n)),
               "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
               "q": rng.standard_normal((bsz, n, d))}
@@ -195,18 +194,29 @@ def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
     for l in range(L):
         arrays[f"k{l}"] = rng.standard_normal((bsz, n, d)) * 0.5
         arrays[f"c{l}"] = rng.standard_normal((bsz, n, d))
+    return arrays
+
+
+def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
+    rng = np.random.default_rng(seed)
+    arrays = _scan_arrays(rng, bsz, n, d, L, s0_kind)
     w_out = T.tensor(rng.standard_normal((bsz, n, d)))
     w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
 
     def loss(a):
-        s0 = T.zeros((bsz, d, d))
-        if s0_kind != "none":
-            s0 = a["s0"] + s0  # a shared (d, d) state broadcasts over the batch
-        out, s_n = scan(a["alpha"], a["beta1"], [a[f"k{l}"] for l in range(L)],
-                        [a[f"c{l}"] for l in range(L)], a["q"], s0)
+        out, s_n = run_scan(scan, a, L)
         return (out * w_out).sum() + (s_n * w_sn).sum()
 
     _grad_check_all(loss, arrays)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(2, 4), st.integers(1, 3),
+       st.integers(1, 8), st.sampled_from(["shared", "batched"]), st.integers(0, 2**16))
+def test_scan_core_equals_chunked_scan_from_random_state(bsz, n, d, L, chunk, s0_kind,
+                                                         seed):
+    arrays = _scan_arrays(np.random.default_rng(seed), bsz, n, d, L, s0_kind)
+    assert_chunked_scan_matches_serial(arrays, L, chunk)
 
 
 @PROPERTY

@@ -8,6 +8,7 @@ import pytest
 from prismlab import train
 from prismlab.config import RunConfig
 from prismlab.models import ModelKind, build_model
+from prismlab.tasks import TaskConfig, TaskKind
 from prismlab.errors import ConfigError, NumericError
 
 
@@ -30,6 +31,23 @@ def test_short_n_raises_config_error_before_any_work(monkeypatch):
     monkeypatch.setattr(train, "generate_batch", refuse)
     with pytest.raises(ConfigError, match="task 'mqar' needs n >= 23"):
         train.run_training(small(model="la", n=16), 1)
+
+
+@pytest.mark.parametrize("arg", ["eval_every", "eval_samples"])
+def test_eval_argument_below_one_raises_before_any_work(monkeypatch, arg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the argument check")
+
+    monkeypatch.setattr(train, "build_model", refuse)
+    with pytest.raises(ConfigError, match=f"{arg} must be >= 1, got 0"):
+        train.run_training(small(model="la"), 1, **{arg: 0})
+
+
+def test_evaluate_needs_a_sample():
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
+    tcfg = TaskConfig(n=32)
+    with pytest.raises(ConfigError, match="n_samples >= 1, got 0"):
+        train.evaluate(model, TaskKind.MQAR, tcfg, seed=[1], n_samples=0)
 
 
 def test_non_finite_loss_raises_with_step():
