@@ -172,17 +172,19 @@ def rank_accumulate(terms: StepTerms, v: Tensor, u: Tensor, cfg: PrismConfig):
     B = sum_l c^(l) (x) k^(l) stays factored, so the keys are no input here.
 
     Returns (cs, residuals): the L columns, each (..., N, d), as one fused
-    tape node, and the L+1 residuals r^(1) .. r^(L+1), untaped.
+    tape node, and the L+1 residuals r^(1) .. r^(L+1), untaped. The
+    forward keeps Phi(z) of each layer; GELU' is formed from it only when
+    the backward runs, so a call without the tape never forms it.
     """
     L = cfg.L
     ps, bs = terms.p[:L], terms.beta[:L]
     pd, bd = [t.data for t in ps], [t.data for t in bs]
     r = v.data - u.data
-    residuals, deltas, gders = [r], [], []
+    residuals, deltas, cdfs = [r], [], []
     for l in range(L):
         z = pd[l] * r
-        deltas.append(T.gelu_fn(z).astype(r.dtype, copy=False))
-        gders.append(T.gelu_deriv_fn(z).astype(r.dtype, copy=False))
+        cdfs.append(T.normal_cdf(z))
+        deltas.append(z * cdfs[l])
         r = r - deltas[l]
         residuals.append(r)
     cs = [bd[l][..., None] * deltas[l] for l in range(L)]
@@ -192,7 +194,8 @@ def rank_accumulate(terms: StepTerms, v: Tensor, u: Tensor, cfg: PrismConfig):
         g_ps, g_bs = [None] * L, [None] * L
         for l in range(L - 1, -1, -1):
             g_bs[l] = (g_cs[l] * deltas[l]).sum(axis=-1)
-            t_l = (bd[l][..., None] * g_cs[l] - grad) * gders[l]
+            gder = T.gelu_slope(pd[l] * residuals[l], cdfs[l])
+            t_l = (bd[l][..., None] * g_cs[l] - grad) * gder
             g_ps[l] = t_l * residuals[l]
             grad = grad + t_l * pd[l]
         return (grad, -grad, *g_ps, *g_bs)
@@ -371,7 +374,8 @@ def _chunk_terms(la, b, kw, cw, q) -> _Chunks:
     v_c = cw.copy()
     v_c[:, :, :c] -= tinv @ (m @ cw)
     dk = np.tile(e[..., c, 1:], kw.shape[2] // c)[..., None] * kw
-    a_ch = e[..., c, 0, None, None] * np.eye(q.shape[-1]) - _swap(u) @ dk[:, :, :c]
+    a_ch = (e[..., c, 0, None, None] * np.eye(q.shape[-1], dtype=q.dtype)
+            - _swap(u) @ dk[:, :, :c])
     return _Chunks(e=e, gram=gram, qk=qk, m=m,
                    p=(ei[..., None, :] * qk.reshape(wide)).reshape(qk.shape),
                    tinv=tinv, u=u, v_c=v_c, dk=dk, a_ch=a_ch)

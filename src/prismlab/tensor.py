@@ -283,34 +283,77 @@ def matmul(a, b):
 
 # -- activations --------------------------------------------------------
 
-def gelu_fn(x):
-    """Exact Gaussian-CDF GELU on a raw array: x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+# float32 erf(x) = tanh(x P(x^2)) on |x| <= 4, P of degree 7 in x^2. The
+# coefficients come from a least-squares fit of atanh(erf(x)) / x on
+# [0, 4], reweighted (Lawson) towards the minimax error measured in
+# float32 ulps of erf, then rounded to float32. Measured against float64
+# scipy.special.erf, in float32 spacings of the exact value's binade: at
+# most 3.6 ulps over every 7th positive normal float32 below 4.5 (153M
+# values), 3.1 over the test grid. erf is odd and so is every step here,
+# bit for bit. Inputs are clipped to [-4, 4], where erf rounds to +-1 in
+# float32 and x P(x^2) reaches 10.47, beyond which numpy's float32 tanh
+# returns exactly 1; NaN passes through. Each pass runs over a block of
+# _ERF_BLOCK values, which stays in cache. Every other dtype, float64 in
+# particular, is evaluated by scipy.special.erf.
+_ERF32_COEFS = tuple(np.float32(c) for c in (
+    1.1283792, 0.10276974, -1.9445723e-04, -6.159910e-04,
+    8.521990e-05, -4.9477253e-06, 4.455619e-08, 4.7388116e-09))
+_ERF32_CLIP = 4.0
+_ERF_BLOCK = 1 << 16
 
 
-def gelu_deriv_fn(x):
-    """GELU'(x) = Phi(x) + x phi(x)."""
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+def _erf(x):
+    """erf on a raw array, in its dtype: the float32 polynomial above or,
+    for any other dtype, scipy.special.erf."""
+    if x.dtype != np.float32:
+        return erf(x)
+    out = np.empty(x.shape, np.float32)
+    flat, out_flat = np.ascontiguousarray(x).reshape(-1), out.reshape(-1)
+    t = np.empty(min(flat.size, _ERF_BLOCK), np.float32)
+    p = np.empty_like(t)
+    *rest, c_top = _ERF32_COEFS
+    for lo in range(0, flat.size, _ERF_BLOCK):
+        xb = out_flat[lo:lo + _ERF_BLOCK]
+        tb, pb = t[:xb.size], p[:xb.size]
+        np.clip(flat[lo:lo + _ERF_BLOCK], -_ERF32_CLIP, _ERF32_CLIP, out=xb)
+        np.multiply(xb, xb, out=tb)
+        np.multiply(tb, c_top, out=pb)
+        for c in reversed(rest[1:]):
+            pb += c
+            pb *= tb
+        pb += rest[0]
+        pb *= xb
+        np.tanh(pb, out=xb)
+    return out
+
+
+def normal_cdf(x):
+    """Gaussian CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2 on a raw array."""
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def gelu_slope(x, cdf):
+    """GELU'(x) = Phi(x) + x phi(x) on a raw array, given cdf = Phi(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
 
 
 def gelu(x):
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))  # Phi(x), reused by backward
+    cdf = normal_cdf(xd)  # reused by backward
     out = Tensor(xd * cdf, requires_grad=_wants_grad(x))
     if out.requires_grad:
-        def back(g):
-            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-            return (g * (cdf + xd * pdf),)
-        _record(out, (x,), back)
+        _record(out, (x,), lambda g: (g * gelu_slope(xd, cdf),))
     return out
 
 
 def sigmoid_fn(x):
     """Numerically stable logistic function on a raw array: exp only ever
-    sees -|x|, so it cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    sees min(x, 0) and -|x|, so it cannot overflow. Branch-free; with
+    e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(x):

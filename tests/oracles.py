@@ -3,6 +3,9 @@
 Nothing here trains, evaluates or is benchmarked, so it lives with the
 tests rather than in the package:
 
+  * the reference activations on raw arrays: GELU and its derivative
+    through scipy's erf, and the logistic function in its two-branch
+    ``np.where`` form;
   * the analysis update rules (plain numpy, no tape): simple linear
     attention, the delta rule, the state-dependent ideal solver it
     approximates, and the closed-form degenerate optimum for purely linear
@@ -11,7 +14,8 @@ tests rather than in the package:
     associative composition;
   * the rule-based task oracle, which recovers every probe task's targets
     from the token stream alone;
-  * ``grad_check``: taped gradients against central differences;
+  * ``grad_check``: taped gradients against central differences, and
+    ``assert_same_bits``;
   * ``assert_chunked_scan_matches_serial``: ``chunked_scan`` against its
     serial oracle ``scan_core``, in outputs and every gradient.
 """
@@ -19,9 +23,11 @@ tests rather than in the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from prismlab import tensor as T
 from prismlab.cell import StepTerms, chunked_scan, scan_core
@@ -29,6 +35,30 @@ from prismlab.errors import ConfigError, NumericError, ShapeError
 from prismlab.tasks import MODULUS, PARITY_BITS, TaskConfig, TaskKind, TaskSample, _bit_token
 
 _COND_LIMIT = 1e10  # degenerate_closed_form refuses a W_k this ill-conditioned
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# --------------------------------------------------------------------------
+# reference activations
+# --------------------------------------------------------------------------
+
+def gelu_fn(x):
+    """Exact Gaussian-CDF GELU on a raw array: x * Phi(x)."""
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_deriv_fn(x):
+    """GELU'(x) = Phi(x) + x phi(x)."""
+    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+
+
+def sigmoid_where(x):
+    """The logistic function, one branch per sign of x through
+    ``np.where``, with exp only of -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # --------------------------------------------------------------------------
@@ -45,7 +75,7 @@ class Activation(enum.Enum):
             return x
         if self is Activation.TANH:
             return np.tanh(x)
-        return T.gelu_fn(x)
+        return gelu_fn(x)
 
     def fprime(self, x):
         if self is Activation.IDENTITY:
@@ -53,7 +83,7 @@ class Activation(enum.Enum):
         if self is Activation.TANH:
             t = np.tanh(x)
             return 1.0 - t * t
-        return T.gelu_deriv_fn(x)
+        return gelu_deriv_fn(x)
 
 
 def linear_attention_step(s, k, v):
@@ -304,6 +334,13 @@ def grad_check(f, x, h=1e-5):
             fd_flat[i] = (fp - fm) / (2.0 * h)
     err = np.abs(g_ad - g_fd) / np.maximum(1.0, np.abs(g_fd))
     return float(err.max()) if err.size else 0.0
+
+
+def assert_same_bits(got, want):
+    """``got`` has ``want``'s dtype and bits: -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype, (got.dtype, want.dtype)
+    uint = f"u{want.dtype.itemsize}"
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
 
 
 # --------------------------------------------------------------------------

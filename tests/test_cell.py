@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (TransitionPair, assert_chunked_scan_matches_serial,
                      build_transition, compose_transitions, dense_transitions,
-                     grad_check)
+                     assert_same_bits, gelu_deriv_fn, gelu_fn, grad_check)
 from prismlab import tensor as T
 from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
                            StepTerms, chunked_forward, chunked_scan,
@@ -272,6 +272,62 @@ def test_rank_accumulate_residuals_are_untaped():
     assert all(c.requires_grad for c in cs)
     assert not any(r.requires_grad for r in res)
     np.testing.assert_array_equal(res[0].data, terms.v.data - terms.u.data)
+
+
+def _rank_inputs(dtype):
+    cfg, params, rng = make({"d": 4, "L": 2}, seed=47, dtype=dtype)
+    x = T.tensor(rng.standard_normal((2, 9, 4)), dtype=dtype)
+    terms = compute_step_terms(compute_anchor(x, params), params, cfg)
+    g_cs = [rng.standard_normal((2, 9, 4)).astype(dtype) for _ in range(cfg.L)]
+    return cfg, terms, g_cs
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rank_accumulate_without_tape_matches_taped(dtype, monkeypatch):
+    # Under no_grad the columns and residuals equal the taped call's bit
+    # for bit; no node is recorded and GELU' is never formed.
+    cfg, terms, _ = _rank_inputs(dtype)
+    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
+    assert all(c.requires_grad for c in cs)
+
+    def refuse(*args):
+        raise AssertionError("GELU' formed without a tape")
+
+    recorded = []
+    monkeypatch.setattr(T, "_record", lambda *node: recorded.append(node))
+    monkeypatch.setattr(T, "gelu_slope", refuse)
+    with T.no_grad():
+        cs_free, res_free = rank_accumulate(terms, terms.v, terms.u, cfg)
+    assert recorded == []
+    for want, got in zip(cs + res, cs_free + res_free):
+        assert not got.requires_grad
+        assert_same_bits(got.data, want.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rank_accumulate_backward_runs_from_an_untaped_call(dtype, monkeypatch):
+    # The backward handed to custom_op_multi needs no taping: the
+    # benchmark's traced run replays it on a call whose inputs carry no
+    # gradient, and it must give the taped call's gradients bit for bit.
+    cfg, terms, g_cs = _rank_inputs(dtype)
+    backs = []
+    monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
+    rank_accumulate(terms, terms.v, terms.u, cfg)
+    want = backs.pop()(*g_cs)
+
+    def untaped(out_datas, inputs, back):
+        backs.append(back)
+        return tuple(Tensor(d) for d in out_datas)
+
+    monkeypatch.setattr(T, "custom_op_multi", untaped)
+    bare = StepTerms(u=Tensor(terms.u.data), q=terms.q, v=Tensor(terms.v.data),
+                     alpha=terms.alpha, p=[Tensor(p.data) for p in terms.p],
+                     beta=[Tensor(b.data) for b in terms.beta])
+    rank_accumulate(bare, bare.v, bare.u, cfg)
+    got = backs.pop()(*g_cs)
+    assert len(got) == len(want) == 2 + 2 * cfg.L
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
 
 
 # ---------------------------------------------------------------- transitions
@@ -596,6 +652,30 @@ def test_scan_equivalence_float32():
     assert np.abs(y1.data - y2.data).max() < 1e-4
 
 
+@pytest.mark.parametrize("scan", [scan_core, lambda *a: chunked_scan(*a, chunk=4)],
+                         ids=["scan_core", "chunked_scan"])
+def test_float32_scan_keeps_float32(scan, monkeypatch):
+    # Every output, and every gradient the fused node's backward returns,
+    # the start state's included, stays in the inputs' float32.
+    rng = np.random.default_rng(48)
+    bsz, n, d, L = 2, 10, 4, 2
+
+    def f32(a):
+        return T.Tensor(np.asarray(a, dtype=np.float32), requires_grad=True)
+
+    args = (f32(rng.uniform(0.3, 1.0, (bsz, n))), f32(rng.uniform(0.1, 0.9, (bsz, n))),
+            [f32(rng.standard_normal((bsz, n, d)) * 0.5) for _ in range(L)],
+            [f32(rng.standard_normal((bsz, n, d))) for _ in range(L)],
+            f32(rng.standard_normal((bsz, n, d))), f32(rng.standard_normal((bsz, d, d))))
+    backs = []
+    monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
+    out, s_n = scan(*args)
+    assert out.dtype == s_n.dtype == np.float32
+    grads = backs.pop()(np.ones_like(out.data), np.ones_like(s_n.data))
+    assert len(grads) == 4 + 2 * L
+    assert [g.dtype for g in grads] == [np.float32] * len(grads)
+
+
 def test_chunked_carries_no_gradient():
     cfg, params, rng = make({"d": 4}, seed=19)
     x = T.Tensor(rng.standard_normal((1, 8, 4)), requires_grad=True)
@@ -684,7 +764,7 @@ def test_state_norm_stays_bounded():
 def test_refinement_lipschitz_bound():
     # L_phi is derived numerically from GELU' on a fine grid first.
     grid = np.linspace(-12.0, 12.0, 2_000_001)
-    l_phi = float(T.gelu_deriv_fn(grid).max())
+    l_phi = float(gelu_deriv_fn(grid).max())
     assert l_phi <= 1.13
     rng = np.random.default_rng(25)
     for _ in range(100):
@@ -693,8 +773,8 @@ def test_refinement_lipschitz_bound():
         r = rng.standard_normal(d)
         eps = rng.standard_normal(d)
         eps *= rng.uniform(1e-6, 1e-1) / np.linalg.norm(eps)
-        d0 = T.gelu_fn(p * r)
-        d1 = T.gelu_fn(p * (r + eps))
+        d0 = gelu_fn(p * r)
+        d1 = gelu_fn(p * (r + eps))
         lhs = np.linalg.norm(d1 - d0)
         rhs = l_phi * np.abs(p).max() * np.linalg.norm(eps)
         assert lhs <= rhs * (1.0 + 1e-9)

@@ -6,8 +6,9 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from oracles import grad_check
+from oracles import assert_same_bits, gelu_deriv_fn, gelu_fn, grad_check, sigmoid_where
 from prismlab import tensor as T
 from prismlab.errors import DataError, ShapeError, UsageError
 from prismlab.optim import Adam
@@ -96,6 +97,68 @@ def test_sigmoid_stable_and_symmetric():
                       np.exp(x) / (1.0 + np.exp(x)))
     np.testing.assert_array_equal(s, direct)
     np.testing.assert_allclose(s, 1.0 - s[::-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bit_identical_to_the_two_branch_form(dtype):
+    rng = np.random.default_rng(16)
+    edges = [0.0, -0.0, np.inf, -np.inf, 1e-30, -1e-30,
+             88.72, -88.72, 88.73, -88.73, 103.98, -103.98, 104.0, -104.0,
+             709.78, -709.78, 709.79, -709.79, 745.2, -745.2, 746.0, -746.0]
+    x = np.concatenate([rng.standard_normal(1_000_000) * 8.0,
+                        rng.uniform(-800.0, 800.0, 1_000_000), edges]).astype(dtype)
+    assert_same_bits(T.sigmoid_fn(x), sigmoid_where(x))
+    assert np.isnan(T.sigmoid_fn(np.array([np.nan, -np.nan], dtype=dtype))).all()
+
+
+# ---------------------------------------------------------------- erf
+
+def _erf_grid():
+    """Dense on [-6, 6], plus log grids of both signs down to 1e-30."""
+    tiny = np.geomspace(1e-30, 1.0, 200_001)
+    return np.concatenate([np.linspace(-6.0, 6.0, 1_200_001), tiny, -tiny]
+                          ).astype(np.float32)
+
+
+def test_erf_float32_within_four_ulps_of_float64():
+    x = _erf_grid()
+    got = T._erf(x)
+    assert got.dtype == np.float32
+    want = erf(x.astype(np.float64))
+    _, exponent = np.frexp(want)
+    ulp = np.ldexp(1.0, exponent - 24)  # float32 spacing in want's binade
+    assert (np.abs(got - want) / ulp).max() <= 4.0
+
+
+def test_erf_float32_is_odd_bit_for_bit():
+    x = _erf_grid()
+    assert_same_bits(T._erf(-x), -T._erf(x))
+
+
+def test_erf_float32_saturates_exactly_and_keeps_nan():
+    x = np.concatenate([np.linspace(4.0, 6.0, 20_001), [1e30, np.inf]]).astype(np.float32)
+    with np.errstate(all="raise"):  # large inputs overflow nothing on the way
+        assert (T._erf(x) == 1.0).all()
+        assert (T._erf(-x) == -1.0).all()
+    assert np.isnan(T._erf(np.array([np.nan], dtype=np.float32))).all()
+
+
+def test_gelu_float32_tracks_float64():
+    x = np.linspace(-12.0, 12.0, 2_400_001).astype(np.float32)
+    got = T.gelu(T.Tensor(x)).data
+    assert got.dtype == np.float32
+    want = gelu_fn(x.astype(np.float64))
+    assert (np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(x))).all()
+
+
+def test_gelu_float64_is_the_scipy_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.standard_normal(100_000) * 4.0, [0.0, -0.0, 40.0, -40.0]])
+    t = T.Tensor(x, requires_grad=True)
+    y = T.gelu(t)
+    T.backward(y.sum())
+    assert_same_bits(y.data, gelu_fn(x))
+    assert_same_bits(t.grad, gelu_deriv_fn(x))
 
 
 # ---------------------------------------------------------------- conv
