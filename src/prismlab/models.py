@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .cell import PrismBlockParams, PrismConfig, prism_block_forward
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .tensor import Tensor
 
 N_BLOCKS = 2     # mixer blocks per model
@@ -185,7 +185,7 @@ def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
     """
     n = x.data.shape[1]
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
-    mask = T.tensor(np.tril(np.ones((n, n), dtype=x.data.dtype)), dtype=x.data.dtype)
+    mask = T.Tensor(np.tril(np.ones((n, n), dtype=x.data.dtype)))
     scores = q @ T.transpose(k, (0, 2, 1))
     return ((scores * mask) @ v) @ p.w_o
 
@@ -278,7 +278,7 @@ def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
     scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
     neg = np.finfo(x.data.dtype).min / 4.0
     mask = np.triu(np.full((n, n), neg, dtype=x.data.dtype), k=1)
-    att = T.softmax(scores + T.tensor(mask, dtype=x.data.dtype), axis=-1)
+    att = T.softmax(scores + T.Tensor(mask), axis=-1)
     ctx = att @ v
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, n, d))
     return ctx @ p.w_o
@@ -396,18 +396,19 @@ class SequenceModel:
         yield self.lnf_b
         yield self.head
 
-    def param_count(self):
-        return sum(p.data.size for p in self.params())
-
     def forward(self, tokens):
-        """tokens: (B, N) integer ids -> logits (B, N, V)."""
+        """tokens: (B, N) integer ids in [0, vocab) -> logits (B, N, V)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (B, N), got {tokens.shape}")
         n = tokens.shape[1]
         if n > self.n_ctx and self.pos is not None:
             raise ShapeError(f"sequence {n} exceeds context {self.n_ctx}")
-        x = T.embedding(self.embedding, tokens)
+        if not np.issubdtype(tokens.dtype, np.integer):
+            raise DataError(f"token ids must be integers, got dtype {tokens.dtype}")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
+            raise DataError(f"token id out of range [0, {self.vocab})")
+        x = self.embedding[tokens]
         if self.pos is not None:
             x = x + self.pos[:n]
         for idx, blk in enumerate(self.blocks):

@@ -172,15 +172,17 @@ def _base_sequence(cfg, rng_noise, layout):
     return rng_noise.integers(lo, hi, size=cfg.n).astype(np.int64)
 
 
-def _seed_list(seed):
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
+def seed_list(seed):
+    """A seed (an int, or a list or tuple of ints) as a list of ints >= 0."""
+    seeds = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    return seeds
 
 
 def _rngs(cfg, task_id, index=0):
-    payload = np.random.default_rng(_seed_list(cfg.seed) + [task_id, index, 0x5EED])
-    noise = np.random.default_rng(_seed_list(cfg.seed) + [task_id, index, 0x4015E])
+    payload = np.random.default_rng(seed_list(cfg.seed) + [task_id, index, 0x5EED])
+    noise = np.random.default_rng(seed_list(cfg.seed) + [task_id, index, 0x4015E])
     return payload, noise
 
 

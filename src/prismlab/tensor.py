@@ -1,15 +1,20 @@
 """Dense tensors on numpy buffers with taped reverse-mode autodiff.
 
+The ops are the ones the models run: ``Tensor`` (``+``, ``*``, ``@``,
+``x[key]``, ``.sum``), ``zeros``, ``ones``, ``add``, ``mul``, ``matmul``,
+``gelu``, ``sigmoid``, ``silu``, ``softmax``, ``causal_depthwise_conv1d``,
+``layernorm``, ``softmax_cross_entropy``, ``take_slice`` (every gather),
+``reshape``, ``transpose``, ``tsum``, and ``custom_op`` and
+``custom_op_multi`` for fused kernels with a hand-derived backward.
+
 The graph is a flat tape: every differentiable operation appends one node
 in execution order, and ``backward`` walks the tape strictly in reverse,
 accumulating (summing) gradients into every tensor that contributed.
 A tape is consumable exactly once; the next recorded operation starts a
 fresh one. The tape and the ``no_grad`` switch are module state, one per
 process: graphs are built and consumed one at a time, and parallel work
-runs in separate processes.
-
-Only first-order gradients are supported: backward functions work on raw
-numpy arrays and are never themselves taped.
+runs in separate processes. Gradients are first-order only: backward
+functions work on raw numpy arrays and are never themselves taped.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ class no_grad:
         return False
 
 
-def grad_enabled():
-    return _grad_enabled
-
-
 def _record(out, inputs, backward_fn):
     """Append one tape node. ``backward_fn(g)`` returns one gradient
     array (or None) per input, aligned with ``inputs``."""
@@ -74,22 +75,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
-
-    def numpy(self):
-        return self.data
-
-    def copy(self):
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -101,24 +88,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -128,15 +101,6 @@ class Tensor:
 
     def sum(self, axis=None):
         return tsum(self, axis=axis)
-
-    def mean(self):
-        return mean(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
 
 
 def _as_tensor(x, dtype):
@@ -164,14 +128,10 @@ def _unbroadcast(g, shape):
 
 
 def _wants_grad(*tensors):
-    return grad_enabled() and any(t.requires_grad for t in tensors)
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 # -- constructors -------------------------------------------------------
-
-def tensor(data, dtype=np.float64, requires_grad=False):
-    return Tensor(data, dtype=dtype, requires_grad=requires_grad)
-
 
 def zeros(shape, dtype=np.float64, requires_grad=False):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
@@ -184,8 +144,6 @@ def ones(shape, dtype=np.float64, requires_grad=False):
 # -- arithmetic ---------------------------------------------------------
 
 def add(a, b):
-    if not isinstance(a, Tensor):
-        a = _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "add")
     out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
@@ -194,18 +152,6 @@ def add(a, b):
         _record(out, (a, b), lambda g: (
             _unbroadcast(g, a.data.shape) if na else None,
             _unbroadcast(g, b.data.shape) if nb else None))
-    return out
-
-
-def sub(a, b):
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes(a, b, "sub")
-    out = Tensor(a.data - b.data, requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        na, nb = a.requires_grad, b.requires_grad
-        _record(out, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape) if na else None,
-            _unbroadcast(-g, b.data.shape) if nb else None))
     return out
 
 
@@ -228,19 +174,6 @@ def mul(a, b):
     return out
 
 
-def div(a, b):
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes(a, b, "div")
-    out = Tensor(a.data / b.data, requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        na, nb = a.requires_grad, b.requires_grad
-        _record(out, (a, b), lambda g: (
-            _unbroadcast(g / bd, ad.shape) if na else None,
-            _unbroadcast(-g * ad / (bd * bd), bd.shape) if nb else None))
-    return out
-
-
 def matmul(a, b):
     """Matrix product with numpy batch broadcasting.
 
@@ -248,9 +181,9 @@ def matmul(a, b):
     back where broadcast).
     """
     _check_dtypes(a, b, "matmul")
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree {a.data.shape} x {b.data.shape}")
+    if a.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+        raise ShapeError(f"matmul: needs a left operand of 2 or more dims and agreeing "
+                         f"inner dimensions, got {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data, requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         ad, bd = a.data, b.data
@@ -260,15 +193,11 @@ def matmul(a, b):
             ga = gb = None
             if bd.ndim == 1:
                 if na:
-                    ga = np.multiply.outer(g, bd) if ad.ndim > 1 else np.outer(g, bd)
-                    ga = _unbroadcast(ga, ad.shape)
+                    ga = _unbroadcast(np.multiply.outer(g, bd), ad.shape)
                 if nb:
-                    gb = (_unbroadcast((ad * g[..., None]).reshape(-1, ad.shape[-1]).sum(0),
-                                       bd.shape) if ad.ndim > 1 else ad.T @ g)
+                    gb = _unbroadcast((ad * g[..., None]).reshape(-1, ad.shape[-1]).sum(0),
+                                      bd.shape)
                 return ga, gb
-            if ad.ndim == 1:
-                return (g @ np.swapaxes(bd, -1, -2) if na else None,
-                        np.outer(ad, g) if nb else None)
             if na:
                 ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
             if nb:
@@ -485,37 +414,6 @@ def softmax_cross_entropy(logits, targets):
     return out
 
 
-def embedding(table, ids):
-    """Row lookup into a (V, D) table; gradient scatter-adds per id."""
-    ids = np.asarray(ids)
-    td = table.data
-    if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
-        raise DataError("embedding id out of range")
-    out = Tensor(td[ids], requires_grad=_wants_grad(table))
-    if out.requires_grad:
-        def back(g):
-            gt = np.zeros_like(td)
-            np.add.at(gt, ids, g)
-            return (gt,)
-        _record(out, (table,), back)
-    return out
-
-
-def take_time(x, idx):
-    """Gather positions along axis 1: x (B, N, D), idx (B, K) -> (B, K, D)."""
-    xd = x.data
-    idx = np.asarray(idx)
-    rows = np.arange(xd.shape[0])[:, None]
-    out = Tensor(xd[rows, idx], requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def back(g):
-            gx = np.zeros_like(xd)
-            np.add.at(gx, (rows, idx), g)
-            return (gx,)
-        _record(out, (x,), back)
-    return out
-
-
 def take_slice(x, key):
     out = Tensor(x.data[key], requires_grad=_wants_grad(x))
     if out.requires_grad:
@@ -551,14 +449,6 @@ def tsum(x, axis=None):
             g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, x.data.shape).copy(),)
         _record(out, (x,), back)
-    return out
-
-
-def mean(x):
-    n = x.data.size
-    out = Tensor(np.asarray(x.data.mean()), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        _record(out, (x,), lambda g: (np.full_like(x.data, g / n),))
     return out
 
 

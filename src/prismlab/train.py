@@ -18,7 +18,7 @@ from .config import MetricRecord, RunConfig
 from .errors import ConfigError, NumericError
 from .models import ModelKind, build_model
 from .optim import Adam
-from .tasks import TaskConfig, TaskKind, generate_batch, min_length
+from .tasks import TaskConfig, TaskKind, generate_batch, min_length, seed_list
 
 EVAL_EVERY = 1000
 EVAL_SAMPLES = 1024
@@ -27,7 +27,7 @@ EVAL_BATCH = 128
 
 def query_loss(logits, qpos, targets):
     """Mean cross entropy over query positions only."""
-    picked = T.take_time(logits, qpos)
+    picked = logits[np.arange(logits.shape[0])[:, None], qpos]
     bsz, q, vocab = picked.shape
     flat = T.reshape(picked, (bsz * q, vocab))
     return T.softmax_cross_entropy(flat, np.asarray(targets).reshape(-1))
@@ -42,7 +42,8 @@ def query_accuracy(logits_data, qpos, targets):
 
 
 def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPLES):
-    """Held-out evaluation on freshly generated samples."""
+    """Held-out evaluation on freshly generated samples. ``seed`` is an
+    int or a list of ints, as in ``generate_batch``."""
     if n_samples < 1:
         raise ConfigError(f"evaluation needs n_samples >= 1, got {n_samples}")
     total_loss = 0.0
@@ -51,7 +52,7 @@ def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPL
     with T.no_grad():
         while done < n_samples:
             b = min(EVAL_BATCH, n_samples - done)
-            tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=list(seed) + [done])
+            tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=seed_list(seed) + [done])
             logits = model.forward(tokens)
             loss = query_loss(logits, qpos, tgt)
             total_loss += loss.item() * b
@@ -72,11 +73,11 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     """Train one (model, task, seed) cell and return its metric history.
 
     steps=0 evaluates the random initialization. An ``n`` too short for
-    the task's payload, or an ``eval_every`` or ``eval_samples`` below 1,
-    raises ConfigError before the model is built. A non-finite loss aborts
-    with the failing step index. ``tokens_per_s`` times only the forward
-    pass, the backward pass and the update: batch generation and the
-    evaluations behind each snapshot are left out.
+    the task's payload, an ``eval_every`` or ``eval_samples`` below 1, or a
+    negative ``seed`` raises ConfigError before the model is built. A
+    non-finite loss aborts with the failing step index. ``tokens_per_s``
+    times only the forward pass, the backward pass and the update: batch
+    generation and the evaluations behind each snapshot are left out.
     """
     kind = ModelKind.parse(cfg.model)
     task = TaskKind.parse(cfg.task)
@@ -87,6 +88,8 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     for name, value in (("eval_every", eval_every), ("eval_samples", eval_samples)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     dtype = cfg.dtype()
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)

@@ -366,8 +366,8 @@ def assert_chunked_scan_matches_serial(arrays, L, chunk):
     included, equal ``scan_core``'s to 1e-10 (float64)."""
     rng = np.random.default_rng(0)
     bsz, n, d = arrays["q"].shape
-    w_out = T.tensor(rng.standard_normal((bsz, n, d)))
-    w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
+    w_out = T.Tensor(rng.standard_normal((bsz, n, d)))
+    w_sn = T.Tensor(rng.standard_normal((bsz, d, d)))
     runs = []
     for scan in (scan_core, lambda *args: chunked_scan(*args, chunk=chunk)):
         ts = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}

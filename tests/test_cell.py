@@ -82,7 +82,7 @@ def naive_prism_rollout(x, params, cfg):
 
 def test_anchor_zero_input():
     cfg, params, _ = make()
-    u = compute_anchor(T.tensor(np.zeros((5, cfg.d))), params)
+    u = compute_anchor(T.Tensor(np.zeros((5, cfg.d))), params)
     np.testing.assert_array_equal(u.data, np.zeros((5, cfg.d)))
 
 
@@ -92,17 +92,17 @@ def test_anchor_w1_unit_kernel_is_silu():
     params = PrismParams.init(rng, cfg)
     params.conv.data[:] = 1.0
     x = rng.standard_normal((6, 4))
-    u = compute_anchor(T.tensor(x), params)
-    np.testing.assert_allclose(u.data, T.silu(T.tensor(x)).data, rtol=1e-14)
+    u = compute_anchor(T.Tensor(x), params)
+    np.testing.assert_allclose(u.data, T.silu(T.Tensor(x)).data, rtol=1e-14)
 
 
 def test_anchor_causality_perturbation():
     cfg, params, rng = make()
     x = rng.standard_normal((10, cfg.d))
-    u0 = compute_anchor(T.tensor(x), params).data
+    u0 = compute_anchor(T.Tensor(x), params).data
     x2 = x.copy()
     x2[5] += 3.0
-    u1 = compute_anchor(T.tensor(x2), params).data
+    u1 = compute_anchor(T.Tensor(x2), params).data
     np.testing.assert_array_equal(u0[:5], u1[:5])
     assert np.abs(u0[5:] - u1[5:]).max() > 0
 
@@ -111,7 +111,7 @@ def test_anchor_causality_perturbation():
 
 def test_terms_zero_anchor():
     cfg, params, _ = make()
-    u = T.tensor(np.zeros((1, 3, cfg.d)))
+    u = T.Tensor(np.zeros((1, 3, cfg.d)))
     terms = compute_step_terms(u, params, cfg)
     np.testing.assert_array_equal(terms.alpha.data, np.full((1, 3), 0.5))
     for l in range(cfg.L):
@@ -125,17 +125,17 @@ def test_terms_zero_anchor():
 def test_normalize_k_projects_onto_ball():
     rng = np.random.default_rng(2)
     k = rng.standard_normal((4, 6)) * 10.0
-    out = scale_into_unit_ball(T.tensor(k)).data
+    out = scale_into_unit_ball(T.Tensor(k)).data
     norms = np.linalg.norm(out, axis=-1)
     np.testing.assert_allclose(norms, np.ones(4), rtol=1e-12)
     small = rng.standard_normal((4, 6)) * 0.01
-    np.testing.assert_array_equal(scale_into_unit_ball(T.tensor(small)).data, small)
+    np.testing.assert_array_equal(scale_into_unit_ball(T.Tensor(small)).data, small)
 
 
 def test_terms_match_per_formula_oracle():
     cfg, params, rng = make(seed=3)
     u = rng.standard_normal((1, 4, cfg.d))
-    terms = compute_step_terms(T.tensor(u), params, cfg)
+    terms = compute_step_terms(T.Tensor(u), params, cfg)
     for t in range(4):
         ut = u[0, t]
         np.testing.assert_allclose(terms.alpha.data[0, t],
@@ -157,7 +157,7 @@ def test_scale_into_unit_ball_gradient():
     rng = np.random.default_rng(4)
     for scale in (0.3, 3.0):
         x = T.Tensor(rng.standard_normal((3, 5)) * scale, requires_grad=True)
-        w = T.tensor(rng.standard_normal((3, 5)))
+        w = T.Tensor(rng.standard_normal((3, 5)))
         err = grad_check(lambda t: (scale_into_unit_ball(t) * w).sum(), x)
         assert err < 1e-4
 
@@ -166,11 +166,11 @@ def test_scale_into_unit_ball_gradient():
 
 def _terms_from_arrays(k, p, beta, u, v):
     def wrap(a):
-        return a if isinstance(a, Tensor) else T.tensor(a)
+        return a if isinstance(a, Tensor) else T.Tensor(a)
 
     u, v = wrap(u), wrap(v)
-    t = StepTerms(u=u, q=T.tensor(np.zeros(u.shape)), v=v,
-                  alpha=T.tensor(np.full(u.shape[:-1], 0.5)))
+    t = StepTerms(u=u, q=T.Tensor(np.zeros(u.shape)), v=v,
+                  alpha=T.Tensor(np.full(u.shape[:-1], 0.5)))
     for l in range(len(k)):
         t.k.append(wrap(k[l]))
         t.p.append(wrap(p[l]))
@@ -247,11 +247,11 @@ def test_rank_accumulate_gradients():
     shape = (1, 2, 3)
     arrays = {name: rng.standard_normal(shape) for name in ("u", "v", "p0", "p1")}
     arrays.update({name: rng.uniform(0.2, 0.8, shape[:2]) for name in ("b0", "b1")})
-    w = [T.tensor(rng.standard_normal(shape)) for _ in range(2)]
+    w = [T.Tensor(rng.standard_normal(shape)) for _ in range(2)]
 
     def build_loss(which):
         def f(x):
-            vals = {n: T.tensor(a) for n, a in arrays.items()}
+            vals = {n: T.Tensor(a) for n, a in arrays.items()}
             vals[which] = x
             terms = _terms_from_arrays([np.zeros(shape)] * 2, [vals["p0"], vals["p1"]],
                                        [vals["b0"], vals["b1"]], vals["u"], vals["v"])
@@ -266,7 +266,7 @@ def test_rank_accumulate_gradients():
 
 def test_rank_accumulate_residuals_are_untaped():
     cfg, params, rng = make({"d": 4, "L": 2}, seed=43)
-    x = T.tensor(rng.standard_normal((2, 5, 4)))
+    x = T.Tensor(rng.standard_normal((2, 5, 4)))
     terms = compute_step_terms(compute_anchor(x, params), params, cfg)
     cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
     assert all(c.requires_grad for c in cs)
@@ -276,7 +276,7 @@ def test_rank_accumulate_residuals_are_untaped():
 
 def _rank_inputs(dtype):
     cfg, params, rng = make({"d": 4, "L": 2}, seed=47, dtype=dtype)
-    x = T.tensor(rng.standard_normal((2, 9, 4)), dtype=dtype)
+    x = T.Tensor(rng.standard_normal((2, 9, 4)), dtype=dtype)
     terms = compute_step_terms(compute_anchor(x, params), params, cfg)
     g_cs = [rng.standard_normal((2, 9, 4)).astype(dtype) for _ in range(cfg.L)]
     return cfg, terms, g_cs
@@ -393,19 +393,19 @@ def test_scan_core_frozen_state():
     # alpha = 1, beta = 0, c = 0 freezes the state for every step.
     rng = np.random.default_rng(12)
     bsz, n, d = 2, 6, 4
-    s0 = T.tensor(rng.standard_normal((bsz, d, d)))
-    ks = [T.tensor(rng.standard_normal((bsz, n, d))) for _ in range(2)]
-    cs = [T.tensor(np.zeros((bsz, n, d))) for _ in range(2)]
-    out, s_n = scan_core(T.tensor(np.ones((bsz, n))), T.tensor(np.zeros((bsz, n))),
-                         ks, cs, T.tensor(rng.standard_normal((bsz, n, d))), s0)
+    s0 = T.Tensor(rng.standard_normal((bsz, d, d)))
+    ks = [T.Tensor(rng.standard_normal((bsz, n, d))) for _ in range(2)]
+    cs = [T.Tensor(np.zeros((bsz, n, d))) for _ in range(2)]
+    out, s_n = scan_core(T.Tensor(np.ones((bsz, n))), T.Tensor(np.zeros((bsz, n))),
+                         ks, cs, T.Tensor(rng.standard_normal((bsz, n, d))), s0)
     np.testing.assert_array_equal(s_n.data, s0.data)
 
 
 def test_scan_core_rejects_unpaired_factors():
-    z = T.tensor(np.zeros((1, 3, 2)))
+    z = T.Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ShapeError, match="2 injection keys for 1 columns"):
-        scan_core(T.tensor(np.ones((1, 3))), T.tensor(np.zeros((1, 3))), [z, z], [z],
-                  z, T.tensor(np.zeros((1, 2, 2))))
+        scan_core(T.Tensor(np.ones((1, 3))), T.Tensor(np.zeros((1, 3))), [z, z], [z],
+                  z, T.Tensor(np.zeros((1, 2, 2))))
 
 
 def _scan_arrays(rng, bsz, n, d, L):
@@ -423,12 +423,12 @@ def test_scan_core_gradients_every_input():
     rng = np.random.default_rng(44)
     bsz, n, d = 2, 4, 3
     arrays = _scan_arrays(rng, bsz, n, d, 2)
-    w_out = T.tensor(rng.standard_normal((bsz, n, d)))
-    w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
+    w_out = T.Tensor(rng.standard_normal((bsz, n, d)))
+    w_sn = T.Tensor(rng.standard_normal((bsz, d, d)))
 
     def build_loss(which):
         def f(x):
-            a = {name: T.tensor(v) for name, v in arrays.items()}
+            a = {name: T.Tensor(v) for name, v in arrays.items()}
             a[which] = x
             out, s_n = scan_core(a["alpha"], a["beta1"], [a["k0"], a["k1"]],
                                  [a["c0"], a["c1"]], a["q"], a["s0"])
@@ -459,7 +459,7 @@ def _taped_shapes(monkeypatch, forward, cfg, params, x):
     monkeypatch.setattr(T, "_record", watch)
     for p in params.params():
         p.grad = None
-    y, _ = forward(T.tensor(x), params, cfg)
+    y, _ = forward(T.Tensor(x), params, cfg)
     T.backward((y * y).sum())
     assert params.w_p[1].grad is not None
     return seen
@@ -491,7 +491,7 @@ def test_chunked_scan_forward_records_no_tape(monkeypatch):
     assert all(p.requires_grad for p in params.params())
     recorded = []
     monkeypatch.setattr(T, "_record", lambda *node: recorded.append(node))
-    y, s_n = chunked_scan_forward(T.tensor(rng.standard_normal((2, 9, 4))), params, cfg)
+    y, s_n = chunked_scan_forward(T.Tensor(rng.standard_normal((2, 9, 4))), params, cfg)
     assert recorded == []
     assert not (y.requires_grad or s_n.requires_grad)
 
@@ -506,14 +506,14 @@ def cell_terms(x, params, cfg):
 
 def scan_from(terms, cs, s0):
     """scan_core over the cell's terms from the (B, d, d) array s0."""
-    return scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, T.tensor(s0))
+    return scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, T.Tensor(s0))
 
 
 def test_serial_single_step_equals_transition():
     cfg, params, rng = make({"d": 5, "L": 2}, seed=13)
     x = rng.standard_normal((1, 1, 5))
     s0 = rng.standard_normal((5, 5))
-    terms, cs = cell_terms(T.tensor(x), params, cfg)
+    terms, cs = cell_terms(T.Tensor(x), params, cfg)
     readout, s1 = scan_from(terms, cs, s0[None])
     pair = build_transition(terms, cs)
     want_s1 = pair.apply(s0)
@@ -525,7 +525,7 @@ def test_serial_single_step_equals_transition():
 def test_serial_forward_matches_naive_oracle():
     cfg, params, rng = make({"d": 8, "L": 2}, seed=14)
     x = rng.standard_normal((2, 32, 8))
-    y, s_n = serial_forward(T.tensor(x), params, cfg)
+    y, s_n = serial_forward(T.Tensor(x), params, cfg)
     for b in range(2):
         want_y, want_s = naive_prism_rollout(x[b], params, cfg)
         assert np.abs(y.data[b] - want_y).max() < 1e-10
@@ -545,8 +545,8 @@ def test_serial_forward_nan_reports_step():
     cfg, params, rng = make({"d": 3, "L": 1}, seed=15)
     alpha, beta, k, c, q = _nan_scan_inputs(rng, 4, 3, 2)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
-        scan_core(T.tensor(alpha), T.tensor(beta), [T.tensor(k)], [T.tensor(c)],
-                  T.tensor(q), T.tensor(np.zeros((1, 3, 3))))
+        scan_core(T.Tensor(alpha), T.Tensor(beta), [T.Tensor(k)], [T.Tensor(c)],
+                  T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))))
     assert exc.value.step == 2
 
 
@@ -556,8 +556,8 @@ def test_chunked_scan_nan_reports_step():
     rng = np.random.default_rng(15)
     alpha, beta, k, c, q = _nan_scan_inputs(rng, 10, 3, 6)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
-        chunked_scan(T.tensor(alpha), T.tensor(beta), [T.tensor(k)], [T.tensor(c)],
-                     T.tensor(q), T.tensor(np.zeros((1, 3, 3))), chunk=4)
+        chunked_scan(T.Tensor(alpha), T.Tensor(beta), [T.Tensor(k)], [T.Tensor(c)],
+                     T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))), chunk=4)
     assert exc.value.step == 6
 
 
@@ -571,8 +571,8 @@ def test_chunked_scan_state_overflow_reports_chunk_end():
     cs = [np.zeros((1, n, d)), np.zeros((1, n, d))]
     ks[1][0, 5, 0] = cs[1][0, 5, 0] = 1e200
     q[0, :, 0] = 1e-200
-    args = [T.tensor(alpha), T.tensor(beta), [T.tensor(a) for a in ks],
-            [T.tensor(a) for a in cs], T.tensor(q), T.tensor(np.zeros((1, d, d)))]
+    args = [T.Tensor(alpha), T.Tensor(beta), [T.Tensor(a) for a in ks],
+            [T.Tensor(a) for a in cs], T.Tensor(q), T.Tensor(np.zeros((1, d, d)))]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as exc:
             chunked_scan(*args, chunk=4)
@@ -615,7 +615,7 @@ def test_config_validation():
 
 def test_chunk_one_degenerates_to_serial():
     cfg, params, rng = make({"d": 6, "chunk": 1}, seed=16)
-    x = T.tensor(rng.standard_normal((1, 17, 6)))
+    x = T.Tensor(rng.standard_normal((1, 17, 6)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-12
@@ -624,7 +624,7 @@ def test_chunk_one_degenerates_to_serial():
 
 def test_chunk_full_sequence_single_chunk():
     cfg, params, rng = make({"d": 6, "chunk": 64}, seed=17)
-    x = T.tensor(rng.standard_normal((1, 16, 6)))
+    x = T.Tensor(rng.standard_normal((1, 16, 6)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-12
@@ -635,7 +635,7 @@ def test_scan_equivalence_chunks(chunk):
     cfg = PrismConfig(d=16, L=2, chunk=chunk)
     rng = np.random.default_rng(100 + chunk)
     params = PrismParams.init(rng, cfg)
-    x = T.tensor(rng.standard_normal((1, 256, 16)))
+    x = T.Tensor(rng.standard_normal((1, 256, 16)))
     y1, s1 = serial_forward(x, params, cfg)
     y2, s2 = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-9
@@ -646,7 +646,7 @@ def test_scan_equivalence_float32():
     cfg = PrismConfig(d=16, L=2, chunk=16)
     rng = np.random.default_rng(18)
     params = PrismParams.init(rng, cfg, dtype=np.float32)
-    x = T.tensor(rng.standard_normal((1, 256, 16)), dtype=np.float32)
+    x = T.Tensor(rng.standard_normal((1, 256, 16)), dtype=np.float32)
     y1, _ = serial_forward(x, params, cfg)
     y2, _ = chunked_scan_forward(x, params, cfg)
     assert np.abs(y1.data - y2.data).max() < 1e-4
@@ -687,16 +687,16 @@ def test_chunked_carries_no_gradient():
 def test_bad_shapes_raise_shape_error(forward):
     cfg, params, rng = make({"d": 4}, seed=42)
     with pytest.raises(ShapeError, match="config d"):
-        forward(T.tensor(rng.standard_normal((2, 8, 5))), params, cfg)
+        forward(T.Tensor(rng.standard_normal((2, 8, 5))), params, cfg)
     with pytest.raises(ShapeError, match=r"\(8, 4\) is not \(B, N, config d"):
-        forward(T.tensor(rng.standard_normal((8, 4))), params, cfg)
+        forward(T.Tensor(rng.standard_normal((8, 4))), params, cfg)
 
 
 def test_state_independence_of_transition_pairs():
     # Definition-level check: the per-step pairs never consult the state,
     # so changing S0 changes the rollout but not one (A_t, B_t).
     cfg, params, rng = make({"d": 5}, seed=20)
-    x = T.tensor(rng.standard_normal((1, 10, 5)))
+    x = T.Tensor(rng.standard_normal((1, 10, 5)))
     terms, cs = cell_terms(x, params, cfg)
     a1, b1 = dense_transitions(terms, cs)
 
@@ -713,18 +713,18 @@ def test_output_causality():
     cfg, params, rng = make(seed=21)
     n = 24
     x = rng.standard_normal((1, n, cfg.d))
-    y0, _ = serial_forward(T.tensor(x), params, cfg)
+    y0, _ = serial_forward(T.Tensor(x), params, cfg)
     for pos in rng.choice(n, size=5, replace=False):
         x2 = x.copy()
         x2[0, pos] += 1.7
-        y1, _ = serial_forward(T.tensor(x2), params, cfg)
+        y1, _ = serial_forward(T.Tensor(x2), params, cfg)
         np.testing.assert_array_equal(y0.data[:, :pos], y1.data[:, :pos])
 
 
 # ---------------------------------------------------------------- spectrum / rank
 
 def rollout_terms(cfg, params, n, rng):
-    return cell_terms(T.tensor(rng.standard_normal((1, n, cfg.d))), params, cfg)
+    return cell_terms(T.Tensor(rng.standard_normal((1, n, cfg.d))), params, cfg)
 
 
 def test_spectrum_analytic_and_numeric():
@@ -754,7 +754,7 @@ def test_rank_bound_and_typical_rank():
 
 def test_state_norm_stays_bounded():
     cfg, params, rng = make(seed=24)
-    x = T.tensor(rng.standard_normal((1, 512, cfg.d)))
+    x = T.Tensor(rng.standard_normal((1, 512, cfg.d)))
     _, s_n = serial_forward(x, params, cfg)
     assert np.linalg.norm(s_n.data) < 1e3
 
@@ -788,7 +788,7 @@ def test_block_zero_output_projections_identity():
     block.prism.w_o.data[:] = 0.0
     block.mlp_w2.data[:] = 0.0
     x = rng.standard_normal((1, 9, 6))
-    y = prism_block_forward(T.tensor(x), block, cfg)
+    y = prism_block_forward(T.Tensor(x), block, cfg)
     np.testing.assert_array_equal(y.data, x)
 
 

@@ -59,6 +59,12 @@ def test_non_finite_lr_is_refused(tmp_path, text):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text", ['{"seeds": [-1]}', '{"seeds": [1, 2, -3]}'])
+def test_negative_seeds_are_refused(tmp_path, text):
+    with pytest.raises(ConfigError, match="config field 'seeds' must be .*non-negative"):
+        load_config(_write(tmp_path, text))
+
+
 def _record(step, loss):
     return MetricRecord(run_id="la-mqar-s1", model="la", task="mqar", seed=1,
                         step=step, loss=loss, accuracy=0.25, tokens_per_s=1234.5)

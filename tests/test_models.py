@@ -6,7 +6,7 @@ import pytest
 from oracles import (Activation, degenerate_closed_form, delta_rule_step,
                      grad_check, ideal_solver_step, linear_attention_step)
 from prismlab import tensor as T
-from prismlab.errors import ConfigError, NumericError, ShapeError
+from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
 from prismlab.models import (N_EXPERTS, AttnParams, LAParams, MixerBlockParams,
                              ModelKind, MoMParams, SequenceModel,
                              blocked_gated_scan, build_model, causal_attention,
@@ -212,7 +212,7 @@ def test_gated_la_scan_matches_loop():
     k = rng.standard_normal((bsz, n, d))
     v = rng.standard_normal((bsz, n, d))
     q = rng.standard_normal((bsz, n, d))
-    out = gated_la_scan(T.tensor(g), T.tensor(k), T.tensor(v), T.tensor(q)).data
+    out = gated_la_scan(T.Tensor(g), T.Tensor(k), T.Tensor(v), T.Tensor(q)).data
     for b in range(bsz):
         s = np.zeros((d, d))
         for t in range(n):
@@ -231,7 +231,7 @@ def test_gated_la_scan_gradients():
     }
     for which in arrays:
         def f(x):
-            vals = {m: T.tensor(a) for m, a in arrays.items()}
+            vals = {m: T.Tensor(a) for m, a in arrays.items()}
             vals[which] = x
             return gated_la_scan(vals["g"], vals["k"], vals["v"], vals["q"]).sum()
         xt = T.Tensor(arrays[which], requires_grad=True)
@@ -246,7 +246,7 @@ def test_mom_collapsed_router_equals_single_expert():
     p = MoMParams.init(rng, d, np.float64)
     p.b_router.data[:] = np.array([0.0, -1e9, -1e9, -1e9])
     p.w_router.data[:] = 0.0
-    x = T.tensor(rng.standard_normal((1, 9, d)))
+    x = T.Tensor(rng.standard_normal((1, 9, d)))
     full = mom_forward(x, p).data
     gate = T.sigmoid(x @ p.w_g[:, :d])
     solo = gated_la_scan(gate, x @ p.w_k[:, :d], x @ p.w_v[:, :d], x @ p.w_q[:, :d])
@@ -263,7 +263,7 @@ def test_mom_uniform_router_identical_experts():
     for group in (p.w_g, p.w_k, p.w_v, p.w_q):
         for i in range(1, 4):
             group.data[:, i * d:(i + 1) * d] = group.data[:, :d]
-    x = T.tensor(rng.standard_normal((1, 7, d)))
+    x = T.Tensor(rng.standard_normal((1, 7, d)))
     full = mom_forward(x, p).data
     gate = T.sigmoid(x @ p.w_g[:, :d])
     solo = gated_la_scan(gate, x @ p.w_k[:, :d], x @ p.w_v[:, :d], x @ p.w_q[:, :d])
@@ -276,10 +276,10 @@ def test_mom_causality():
     d = 5
     p = MoMParams.init(rng, d, np.float64)
     x = rng.standard_normal((1, 11, d))
-    y0 = mom_forward(T.tensor(x), p).data
+    y0 = mom_forward(T.Tensor(x), p).data
     x2 = x.copy()
     x2[0, 6] += 2.0
-    y1 = mom_forward(T.tensor(x2), p).data
+    y1 = mom_forward(T.Tensor(x2), p).data
     np.testing.assert_array_equal(y0[0, :6], y1[0, :6])
 
 
@@ -329,7 +329,7 @@ def test_mom_numeric_error_names_block_and_step(step):
     def poisoned(x, p):
         data = x.data.copy()
         data[1, step, 0] = np.inf
-        return mom_forward(T.tensor(data, dtype=data.dtype), p)
+        return mom_forward(T.Tensor(data, dtype=data.dtype), p)
 
     model.blocks[1].mixer_fn = poisoned
     tokens = np.random.default_rng(8).integers(0, 16, (2, 40))
@@ -340,11 +340,11 @@ def test_mom_numeric_error_names_block_and_step(step):
 
 
 def test_blocked_gated_scan_rejects_unequal_shapes():
-    a = T.tensor(np.zeros((3, 2, 4)))
+    a = T.Tensor(np.zeros((3, 2, 4)))
     with pytest.raises(ShapeError):
-        blocked_gated_scan(a, a, a, T.tensor(np.zeros((3, 1, 4))))
+        blocked_gated_scan(a, a, a, T.Tensor(np.zeros((3, 1, 4))))
     with pytest.raises(ShapeError):
-        blocked_gated_scan(*(T.tensor(np.zeros((1, 3, 2, 4))),) * 4)
+        blocked_gated_scan(*(T.Tensor(np.zeros((1, 3, 2, 4))),) * 4)
 
 
 # ---------------------------------------------------------------- attention
@@ -359,7 +359,7 @@ def test_attention_rows_sum_to_one():
     x = rng.standard_normal((2, 10, d))
     x[..., 0] = 1.0
     p.w_v.data[1:] = 0.0
-    y = causal_attention(T.tensor(x), p).data
+    y = causal_attention(T.Tensor(x), p).data
     want = p.w_v.data[0] @ p.w_o.data
     np.testing.assert_allclose(y, np.broadcast_to(want, y.shape), atol=1e-12)
 
@@ -369,7 +369,7 @@ def test_attention_single_token_self_only():
     d = 4
     p = AttnParams.init(rng, d, np.float64)
     x = rng.standard_normal((2, 1, d))
-    y = causal_attention(T.tensor(x), p).data
+    y = causal_attention(T.Tensor(x), p).data
     np.testing.assert_allclose(y, x @ p.w_v.data @ p.w_o.data, atol=1e-12)
 
 
@@ -380,11 +380,11 @@ def test_attention_strictly_causal_weights():
     d = 4
     p = AttnParams.init(rng, d, np.float64)
     x = rng.standard_normal((1, 6, d))
-    y0 = causal_attention(T.tensor(x), p).data
+    y0 = causal_attention(T.Tensor(x), p).data
     for t in range(6):
         x2 = x.copy()
         x2[0, t] += 1.0
-        y1 = causal_attention(T.tensor(x2), p).data
+        y1 = causal_attention(T.Tensor(x2), p).data
         np.testing.assert_array_equal(y1[0, :t], y0[0, :t])
         assert np.abs(y1[0, t] - y0[0, t]).max() > 0
 
@@ -396,10 +396,10 @@ def test_transformer_block_zero_values_reduces_to_mlp():
     mix.w_v.data[:] = 0.0
     blk = MixerBlockParams.init(rng, d, mix, causal_attention, np.float64)
     x = rng.standard_normal((1, 8, d))
-    y = blk.forward(T.tensor(x)).data
-    z = T.layernorm(T.tensor(x), blk.ln2_g, blk.ln2_b)
+    y = blk.forward(T.Tensor(x)).data
+    z = T.layernorm(T.Tensor(x), blk.ln2_g, blk.ln2_b)
     z = T.gelu(z @ blk.mlp_w1 + blk.mlp_b1)
-    want = (T.tensor(x) + (z @ blk.mlp_w2 + blk.mlp_b2)).data
+    want = (T.Tensor(x) + (z @ blk.mlp_w2 + blk.mlp_b2)).data
     np.testing.assert_allclose(y, want, atol=1e-12)
 
 
@@ -421,7 +421,24 @@ def test_prism_param_count_matches_hand_sum():
     prism = w * d + 2 * d * d + d + l * (2 * d * d + d) + d * d
     block = 2 * 2 * d + prism + (d * 4 * d + 4 * d + 4 * d * d + d)
     want = emb + 2 * block + 2 * d + d * v
-    assert model.param_count() == want
+    assert sum(p.data.size for p in model.params()) == want
+
+
+@pytest.mark.parametrize("tokens", [np.zeros((2, 8)) + 0.5, np.zeros((2, 8), dtype=bool)],
+                         ids=["float", "bool"])
+def test_non_integer_tokens_raise_data_error(tokens):
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8)
+    with pytest.raises(DataError, match="integers"):
+        model.forward(tokens)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_token_id_out_of_range_raises_data_error(bad):
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8)
+    tokens = np.zeros((2, 8), dtype=np.int64)
+    tokens[1, 3] = bad
+    with pytest.raises(DataError, match="out of range"):
+        model.forward(tokens)
 
 
 def test_models_deterministic_under_seed():
@@ -499,7 +516,7 @@ def test_la_mixer_matches_recurrence():
     d = 5
     p = LAParams.init(rng, d, np.float64)
     x = rng.standard_normal((1, 9, d))
-    y = la_mixer_forward(T.tensor(x), p).data
+    y = la_mixer_forward(T.Tensor(x), p).data
     q = x @ p.w_q.data
     k = x @ p.w_k.data
     v = x @ p.w_v.data

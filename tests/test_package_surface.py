@@ -1,23 +1,28 @@
-"""Every module-level function and class of prismlab has a caller.
+"""Every module-level function and class of prismlab, and every method of
+its classes, has a caller.
 
 A definition counts as used when its name is looked up somewhere in
 ``src/prismlab`` or in the benchmark under ``prismbench/``: as a name, as
 an attribute, as an imported name, or in a ``"module.name"`` string, the
 form in which the benchmark names the functions it patches. Docstrings,
 comments, other strings and numpy's attributes (``np.outer`` is not
-``tensor.outer``) do not count, and neither do the tests.
+``tensor.outer``) do not count, and neither do the tests. Methods are
+looked up by the same rules, except dunders and the names numpy arrays
+also have: ``x.sum`` cannot tell a ``Tensor`` from an array.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prismlab"
 
-# The run surface's file and sweep I/O, which the command-line entry point
-# planned in ROADMAP.md will call.
+# The run surface's file, snapshot and sweep I/O, which the command-line
+# entry point planned in ROADMAP.md will call.
 EXEMPT = {"load_config", "save_config", "read_metrics", "write_metrics",
-          "save_snapshot", "run_probe_sweep", "probe_table_csv"}
+          "save_snapshot", "load_state_dict", "run_probe_sweep", "probe_table_csv"}
 
 
 def _definitions():
@@ -25,6 +30,18 @@ def _definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path.stem, node.name
+
+
+def _methods():
+    array_names = set(dir(np.ndarray))
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name in (n.name for n in cls.body if isinstance(n, ast.FunctionDef)):
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in array_names:
+                    yield f"{path.stem}.{cls.name}", name
 
 
 def _root(node):
@@ -57,3 +74,12 @@ def test_every_definition_has_a_caller():
     unused = [f"{module}.{name}" for module, name in defined
               if name not in used and name not in EXEMPT]
     assert not unused, f"defined in prismlab but never used: {unused}"
+
+
+def test_every_method_has_a_caller():
+    defined = list(_methods())
+    assert defined, f"no methods found under {PACKAGE}"
+    used = _references({path.stem for path in PACKAGE.glob("*.py")})
+    unused = [f"{owner}.{name}" for owner, name in defined
+              if name not in used and name not in EXEMPT]
+    assert not unused, f"methods of prismlab classes never used: {unused}"

@@ -39,7 +39,7 @@ def cells(draw, dtypes=(np.float32, np.float64)):
 
 
 def _run(forward, cfg, params, x):
-    y, s_n = forward(T.tensor(x, dtype=x.dtype), params, cfg)
+    y, s_n = forward(T.Tensor(x, dtype=x.dtype), params, cfg)
     return y.data, s_n.data
 
 
@@ -71,11 +71,11 @@ def _assert_blocked_matches_oracle(n, m, d, seed):
     g_out = rng.standard_normal((n, m, d))
     ins = [T.Tensor(a, requires_grad=True) for a in arrays]
     out = blocked_gated_scan(*ins)
-    T.backward((out * T.tensor(g_out)).sum())
+    T.backward((out * T.Tensor(g_out)).sum())
     ref = [T.Tensor(np.ascontiguousarray(a.transpose(1, 0, 2)), requires_grad=True)
            for a in arrays]
     out_ref = gated_la_scan(*ref)
-    T.backward((out_ref * T.tensor(g_out.transpose(1, 0, 2))).sum())
+    T.backward((out_ref * T.Tensor(g_out.transpose(1, 0, 2))).sum())
     pairs = [(out.data, out_ref.data)] + [(x.grad, r.grad) for x, r in zip(ins, ref)]
     for j, (got, want) in enumerate(pairs):
         np.testing.assert_allclose(got, want.transpose(1, 0, 2), rtol=1e-12, atol=1e-12,
@@ -104,8 +104,8 @@ def _outputs_and_gradients(forward, cfg, params, x):
         p.grad = None
     xt = T.Tensor(x, requires_grad=True)
     y, s_n = forward(xt, params, cfg)
-    T.backward((y * T.tensor(rng.standard_normal(y.shape))).sum()
-               + (s_n * T.tensor(rng.standard_normal(s_n.shape))).sum())
+    T.backward((y * T.Tensor(rng.standard_normal(y.shape))).sum()
+               + (s_n * T.Tensor(rng.standard_normal(s_n.shape))).sum())
     return [y.data, s_n.data, xt.grad] + [p.grad for p in params.params()]
 
 
@@ -156,7 +156,7 @@ def _grad_check_all(loss, arrays):
         x = T.Tensor(a, requires_grad=True)
 
         def f(x, name=name):
-            return loss({**{k: T.tensor(v) for k, v in arrays.items()}, name: x})
+            return loss({**{k: T.Tensor(v) for k, v in arrays.items()}, name: x})
         assert grad_check(f, x) < 1e-6, name
 
 
@@ -170,7 +170,7 @@ def test_rank_accumulate_gradients(bsz, n, d, L, seed):
     for l in range(L):
         arrays[f"p{l}"] = rng.standard_normal((bsz, n, d))
         arrays[f"beta{l}"] = rng.uniform(0.1, 0.9, (bsz, n))
-    weights = [T.tensor(rng.standard_normal((bsz, n, d))) for _ in range(L)]
+    weights = [T.Tensor(rng.standard_normal((bsz, n, d))) for _ in range(L)]
 
     def loss(a):
         terms = StepTerms(u=a["u"], q=None, v=a["v"], alpha=None,
@@ -200,8 +200,8 @@ def _scan_arrays(rng, bsz, n, d, L, s0_kind):
 def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
     rng = np.random.default_rng(seed)
     arrays = _scan_arrays(rng, bsz, n, d, L, s0_kind)
-    w_out = T.tensor(rng.standard_normal((bsz, n, d)))
-    w_sn = T.tensor(rng.standard_normal((bsz, d, d)))
+    w_out = T.Tensor(rng.standard_normal((bsz, n, d)))
+    w_sn = T.Tensor(rng.standard_normal((bsz, d, d)))
 
     def loss(a):
         out, s_n = run_scan(scan, a, L)
@@ -240,7 +240,7 @@ def test_blocked_gated_scan_gradients():
     rng = np.random.default_rng(31)
     n, m, d = SCAN_BLOCK + 3, 2, 2
     arrays = dict(zip(("gate", "k", "v", "q"), _gated_scan_arrays(rng, n, m, d)))
-    w_out = T.tensor(rng.standard_normal((n, m, d)))
+    w_out = T.Tensor(rng.standard_normal((n, m, d)))
 
     def loss(a):
         return (blocked_gated_scan(a["gate"], a["k"], a["v"], a["q"]) * w_out).sum()

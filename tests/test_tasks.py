@@ -244,6 +244,12 @@ def test_min_length_is_tight(kind):
             generate_sample(kind, TaskConfig(n=need - 1, v=64))
 
 
+@pytest.mark.parametrize("seed", [-5, [1, -2]])
+def test_negative_seed_raises_config_error(seed):
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        generate_batch(TaskKind.MQAR, TaskConfig(n=32), 2, seed=seed)
+
+
 def test_task_kind_parse():
     assert TaskKind.parse("local-xor") is TaskKind.LOCAL_XOR
     with pytest.raises(ConfigError):

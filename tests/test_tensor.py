@@ -22,14 +22,14 @@ def rt(rng, shape, requires_grad=True, dtype=np.float64, scale=1.0):
 # ---------------------------------------------------------------- matmul
 
 def test_matmul_identity():
-    a = T.tensor(np.eye(2))
-    b = T.tensor([[1.0, 2.0], [3.0, 4.0]])
+    a = T.Tensor(np.eye(2))
+    b = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal((a @ b).data, b.data)
 
 
 def test_matmul_projector():
-    p = T.tensor([[1.0, 0.0], [0.0, 0.0]])
-    m = T.tensor([[5.0, 6.0], [7.0, 8.0]])
+    p = T.Tensor([[1.0, 0.0], [0.0, 0.0]])
+    m = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
     np.testing.assert_array_equal((p @ m).data, [[5.0, 6.0], [0.0, 0.0]])
 
 
@@ -42,25 +42,30 @@ def test_matmul_against_triple_loop():
         for j in range(2):
             for k in range(4):
                 want[i, j] += a[i, k] * b[k, j]
-    got = (T.tensor(a) @ T.tensor(b)).data
+    got = (T.Tensor(a) @ T.Tensor(b)).data
     assert np.abs(got - want).max() < 1e-12
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        T.matmul(T.tensor(np.ones((2, 3))), T.tensor(np.ones((2, 3))))
+        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+
+
+def test_matmul_refuses_a_vector_left_operand():
+    with pytest.raises(ShapeError, match="left operand of 2 or more dims"):
+        T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
 
 
 def test_matmul_dtype_mismatch():
     with pytest.raises(ShapeError):
-        T.matmul(T.tensor(np.ones((2, 2)), dtype=np.float32),
-                 T.tensor(np.ones((2, 2)), dtype=np.float64))
+        T.matmul(T.Tensor(np.ones((2, 2)), dtype=np.float32),
+                 T.Tensor(np.ones((2, 2)), dtype=np.float64))
 
 
 # ---------------------------------------------------------------- activations
 
 def test_gelu_zero_and_asymptote():
-    x = T.tensor([0.0, 10.0])
+    x = T.Tensor([0.0, 10.0])
     y = T.gelu(x).data
     assert y[0] == 0.0
     assert abs(y[1] - 10.0) < 1e-6
@@ -71,13 +76,13 @@ def test_gelu_one_against_mpmath():
     from mpmath import mp
     mp.dps = 40
     want = float(mp.mpf("0.5") * (1 + mp.erf(1 / mp.sqrt(2))))
-    got = T.gelu(T.tensor([1.0])).data[0]
+    got = T.gelu(T.Tensor([1.0])).data[0]
     assert abs(got - want) < 1e-14
 
 
 def test_silu_values():
     x = np.array([0.0, 25.0, -0.7, 1.3])
-    y = T.silu(T.tensor(x)).data
+    y = T.silu(T.Tensor(x)).data
     assert y[0] == 0.0
     assert abs(y[1] - 25.0) < 1e-6
     direct = x / (1.0 + np.exp(-x))
@@ -86,7 +91,7 @@ def test_silu_values():
 
 def test_sigmoid_stable_and_symmetric():
     x = np.array([-50.0, -3.0, 0.0, 3.0, 50.0])
-    s = T.sigmoid(T.tensor(x)).data
+    s = T.sigmoid(T.Tensor(x)).data
     assert s[2] == 0.5
     # No overflow at +-50; values are the correctly rounded images of
     # numbers in (0, 1). (sigmoid(50) itself rounds to 1.0 at float64.)
@@ -166,7 +171,7 @@ def test_gelu_float64_is_the_scipy_form_bit_for_bit():
 def test_conv_w1_identity():
     rng = np.random.default_rng(1)
     x = rt(rng, (6, 3), False)
-    k = T.tensor(np.ones((1, 3)))
+    k = T.Tensor(np.ones((1, 3)))
     np.testing.assert_array_equal(T.causal_depthwise_conv1d(x, k).data, x.data)
 
 
@@ -178,10 +183,10 @@ def test_conv_one_hot_taps():
     k = np.zeros((w, 2))
     k[w - 1] = 1.0  # current-token tap: identity
     np.testing.assert_array_equal(
-        T.causal_depthwise_conv1d(x, T.tensor(k)).data, x.data)
+        T.causal_depthwise_conv1d(x, T.Tensor(k)).data, x.data)
     k = np.zeros((w, 2))
     k[0] = 1.0  # earliest tap: delay line by w-1
-    got = T.causal_depthwise_conv1d(x, T.tensor(k)).data
+    got = T.causal_depthwise_conv1d(x, T.Tensor(k)).data
     np.testing.assert_array_equal(got[w - 1:], x.data[: 8 - (w - 1)])
     np.testing.assert_array_equal(got[: w - 1], np.zeros((w - 1, 2)))
 
@@ -196,7 +201,7 @@ def test_conv_against_double_loop():
     for t in range(n):
         for j in range(w):
             want[t] += k[j] * xp[t + j]
-    got = T.causal_depthwise_conv1d(T.tensor(x), T.tensor(k)).data
+    got = T.causal_depthwise_conv1d(T.Tensor(x), T.Tensor(k)).data
     np.testing.assert_array_equal(got, want)
 
 
@@ -204,10 +209,10 @@ def test_conv_causality_bit_identical():
     rng = np.random.default_rng(4)
     n, d, w = 12, 3, 5
     x = rng.standard_normal((n, d))
-    k = T.tensor(rng.standard_normal((w, d)))
-    full = T.causal_depthwise_conv1d(T.tensor(x), k).data
+    k = T.Tensor(rng.standard_normal((w, d)))
+    full = T.causal_depthwise_conv1d(T.Tensor(x), k).data
     for t in range(n):
-        prefix = T.causal_depthwise_conv1d(T.tensor(x[: t + 1]), k).data
+        prefix = T.causal_depthwise_conv1d(T.Tensor(x[: t + 1]), k).data
         assert np.array_equal(prefix[t], full[t])
 
 
@@ -221,16 +226,16 @@ def test_conv_width_larger_than_sequence():
 
 def test_conv_bad_width():
     with pytest.raises(ShapeError):
-        T.causal_depthwise_conv1d(T.tensor(np.ones((4, 2))),
-                                  T.tensor(np.ones((0, 2))))
+        T.causal_depthwise_conv1d(T.Tensor(np.ones((4, 2))),
+                                  T.Tensor(np.ones((0, 2))))
 
 
 # ---------------------------------------------------------------- layernorm
 
 def test_layernorm_constant_vector_gives_bias():
-    x = T.tensor(np.full((3, 4), 2.5))
-    gain = T.tensor(np.ones(4) * 3.0)
-    bias = T.tensor([1.0, 2.0, 3.0, 4.0])
+    x = T.Tensor(np.full((3, 4), 2.5))
+    gain = T.Tensor(np.ones(4) * 3.0)
+    bias = T.Tensor([1.0, 2.0, 3.0, 4.0])
     got = T.layernorm(x, gain, bias).data
     np.testing.assert_allclose(got, np.broadcast_to(bias.data, (3, 4)), atol=1e-6)
 
@@ -239,14 +244,14 @@ def test_layernorm_standardized_passthrough():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, 64))
     x = (x - x.mean()) / x.std()
-    got = T.layernorm(T.tensor(x), T.tensor(np.ones(64)), T.tensor(np.zeros(64))).data
+    got = T.layernorm(T.Tensor(x), T.Tensor(np.ones(64)), T.Tensor(np.zeros(64))).data
     np.testing.assert_allclose(got, x, atol=1e-4)
 
 
 # ---------------------------------------------------------------- cross entropy
 
 def test_cross_entropy_uniform_logits():
-    logits = T.tensor(np.zeros((5, 64)))
+    logits = T.Tensor(np.zeros((5, 64)))
     loss = T.softmax_cross_entropy(logits, np.arange(5))
     assert abs(loss.item() - math.log(64)) < 1e-12
 
@@ -254,19 +259,19 @@ def test_cross_entropy_uniform_logits():
 def test_cross_entropy_confident_hit():
     logits = np.zeros((1, 8))
     logits[0, 3] = 30.0
-    loss = T.softmax_cross_entropy(T.tensor(logits), np.array([3]))
+    loss = T.softmax_cross_entropy(T.Tensor(logits), np.array([3]))
     assert loss.item() < 1e-9
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(DataError):
-        T.softmax_cross_entropy(T.tensor(np.zeros((2, 4))), np.array([0, 4]))
+        T.softmax_cross_entropy(T.Tensor(np.zeros((2, 4))), np.array([0, 4]))
 
 
 # ---------------------------------------------------------------- backward
 
 def test_backward_sum_gives_ones():
-    x = T.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     T.backward(x.sum())
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -279,13 +284,13 @@ def test_backward_quadratic():
 
 
 def test_backward_rejects_nonscalar():
-    x = T.tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(UsageError):
         T.backward(x * 2.0)
 
 
 def test_backward_graph_consumed_once():
-    x = T.tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3), requires_grad=True)
     loss = (x * x).sum()
     T.backward(loss)
     with pytest.raises(UsageError):
@@ -293,7 +298,7 @@ def test_backward_graph_consumed_once():
 
 
 def test_gradient_accumulates_across_uses():
-    x = T.tensor([2.0], requires_grad=True)
+    x = T.Tensor([2.0], requires_grad=True)
     y = (x * 3.0 + x * x).sum()
     T.backward(y)
     np.testing.assert_allclose(x.grad, [3.0 + 2.0 * 2.0])
@@ -305,13 +310,13 @@ def test_grad_check_linear_is_exact():
     rng = np.random.default_rng(9)
     w = rng.standard_normal(6)
     x = rt(rng, 6)
-    err = grad_check(lambda t: (t * T.tensor(w)).sum(), x)
+    err = grad_check(lambda t: (t * T.Tensor(w)).sum(), x)
     assert err < 1e-9
 
 
 def test_grad_check_gelu_chain():
     rng = np.random.default_rng(10)
-    w = T.tensor(rng.standard_normal((4, 4)))
+    w = T.Tensor(rng.standard_normal((4, 4)))
     x = rt(rng, (3, 4))
     err = grad_check(lambda t: T.gelu(t @ w).sum(), x)
     assert err < 1e-4
@@ -330,30 +335,41 @@ def test_grad_check_disconnected_input():
 # Output weights of the primitives checked through a weighted sum, so that
 # every output coordinate carries its own gradient.
 _WEIGHT_SHAPES = {"softmax": (3, 5), "mul": (4, 3), "tsum_axis": (3, 2),
-                  "reshape": (2, 6), "transpose": (4, 2, 3), "take_slice": (3, 3)}
+                  "reshape": (2, 6), "transpose": (4, 2, 3), "take_slice": (3, 3),
+                  "take_slice_ids": (2, 5, 3), "take_slice_rows": (3, 2, 4)}
+
+# Token ids with repeats, so that the gather's scatter-add backward sums
+# several rows into one; and a query gather x[rows, qpos] as in train.
+_IDS = np.array([[1, 4, 1, 0, 4], [5, 1, 2, 1, 3]])
+_ROWS = np.arange(3)[:, None]
+_QPOS = np.array([[1, 3], [0, 4], [4, 4]])
 
 
-# A test id carries its entry's index (``shapeN``): add new primitives at
-# the end, so that the ids of the others stay.
+def _case(index, name, fn, shape):
+    # The id keeps the entry's index from when it was added (``shapeN``),
+    # so that removing a primitive renames no other case.
+    return pytest.param(name, fn, shape, id=f"{name}-<lambda>-shape{index}")
+
+
 @pytest.mark.parametrize("name,fn,shape", [
-    ("matmul", lambda x, aux: (x @ aux).sum(), (4, 4)),
+    _case(0, "matmul", lambda x, aux: (x @ aux).sum(), (4, 4)),
     # (3, 1, 4) + (2, 4): both the size-1 axis and the missing leading axis
     # of x are summed back.
-    ("add", lambda x, aux: (T.add(x, aux[0]) * aux[1]).sum(), (3, 1, 4)),
-    ("gelu", lambda x, aux: T.gelu(x).sum(), (7,)),
-    ("silu", lambda x, aux: T.silu(x).sum(), (7,)),
-    ("sigmoid", lambda x, aux: T.sigmoid(x).sum(), (7,)),
-    # (3, 4) - (4,): x is the broadcast right operand.
-    ("sub", lambda x, aux: (T.sub(aux[0], x) * aux[1]).sum(), (4,)),
-    ("softmax", lambda x, aux: (T.softmax(x) * aux).sum(), (3, 5)),
-    ("conv", lambda x, aux: T.causal_depthwise_conv1d(x, aux).sum(), (6, 2)),
-    ("layernorm", lambda x, aux: T.layernorm(x, aux[0], aux[1]).sum(), (3, 4)),
-    ("mul", lambda x, aux: (x * aux).sum(), (4, 3)),
-    ("div", lambda x, aux: T.div(x, aux).sum(), (6,)),
-    ("tsum_axis", lambda x, aux: (T.tsum(x, axis=1) * aux).sum(), (3, 4, 2)),
-    ("reshape", lambda x, aux: (T.reshape(x, (2, 6)) * aux).sum(), (3, 4)),
-    ("transpose", lambda x, aux: (T.transpose(x, (2, 0, 1)) * aux).sum(), (2, 3, 4)),
-    ("take_slice", lambda x, aux: (x[1:4] * aux).sum(), (5, 3)),
+    _case(1, "add", lambda x, aux: (T.add(x, aux[0]) * aux[1]).sum(), (3, 1, 4)),
+    _case(2, "gelu", lambda x, aux: T.gelu(x).sum(), (7,)),
+    _case(3, "silu", lambda x, aux: T.silu(x).sum(), (7,)),
+    _case(4, "sigmoid", lambda x, aux: T.sigmoid(x).sum(), (7,)),
+    _case(6, "softmax", lambda x, aux: (T.softmax(x) * aux).sum(), (3, 5)),
+    _case(7, "conv", lambda x, aux: T.causal_depthwise_conv1d(x, aux).sum(), (6, 2)),
+    _case(8, "layernorm", lambda x, aux: T.layernorm(x, aux[0], aux[1]).sum(), (3, 4)),
+    _case(9, "mul", lambda x, aux: (x * aux).sum(), (4, 3)),
+    _case(11, "tsum_axis", lambda x, aux: (T.tsum(x, axis=1) * aux).sum(), (3, 4, 2)),
+    _case(12, "reshape", lambda x, aux: (T.reshape(x, (2, 6)) * aux).sum(), (3, 4)),
+    _case(13, "transpose", lambda x, aux: (T.transpose(x, (2, 0, 1)) * aux).sum(),
+          (2, 3, 4)),
+    _case(14, "take_slice", lambda x, aux: (x[1:4] * aux).sum(), (5, 3)),
+    _case(15, "take_slice_ids", lambda x, aux: (x[_IDS] * aux).sum(), (6, 3)),
+    _case(16, "take_slice_rows", lambda x, aux: (x[_ROWS, _QPOS] * aux).sum(), (3, 5, 4)),
 ])
 def test_grad_check_every_primitive(name, fn, shape):
     # Module invariant: every differentiable primitive passes grad_check
@@ -362,22 +378,17 @@ def test_grad_check_every_primitive(name, fn, shape):
     for trial in range(10):
         x = rt(rng, shape)
         if name == "matmul":
-            aux = T.tensor(rng.standard_normal((shape[-1], 3)))
+            aux = T.Tensor(rng.standard_normal((shape[-1], 3)))
         elif name == "add":
-            aux = (T.tensor(rng.standard_normal((2, 4))),
-                   T.tensor(rng.standard_normal((3, 2, 4))))
-        elif name == "sub":
-            aux = (T.tensor(rng.standard_normal((3, 4))),
-                   T.tensor(rng.standard_normal((3, 4))))
+            aux = (T.Tensor(rng.standard_normal((2, 4))),
+                   T.Tensor(rng.standard_normal((3, 2, 4))))
         elif name in _WEIGHT_SHAPES:
-            aux = T.tensor(rng.standard_normal(_WEIGHT_SHAPES[name]))
+            aux = T.Tensor(rng.standard_normal(_WEIGHT_SHAPES[name]))
         elif name == "conv":
-            aux = T.tensor(rng.standard_normal((3, shape[-1])))
+            aux = T.Tensor(rng.standard_normal((3, shape[-1])))
         elif name == "layernorm":
-            aux = (T.tensor(rng.standard_normal(shape[-1])),
-                   T.tensor(rng.standard_normal(shape[-1])))
-        elif name == "div":
-            aux = T.tensor(rng.standard_normal(shape) + 3.0)
+            aux = (T.Tensor(rng.standard_normal(shape[-1])),
+                   T.Tensor(rng.standard_normal(shape[-1])))
         else:
             aux = None
         assert grad_check(lambda t: fn(t, aux), x) < 1e-4, f"{name} trial {trial}"
@@ -392,20 +403,10 @@ def test_grad_check_cross_entropy():
         assert err < 1e-4
 
 
-def test_grad_check_embedding_and_gather():
-    rng = np.random.default_rng(13)
-    ids = rng.integers(0, 6, size=(2, 5))
-    pos = np.array([[1, 3], [0, 4]])
-    table = rt(rng, (6, 3))
-    err = grad_check(
-        lambda t: T.gelu(T.take_time(T.embedding(t, ids), pos)).sum(), table)
-    assert err < 1e-4
-
-
 # ---------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_keeps_params():
-    p = T.tensor([1.0, -2.0], requires_grad=True)
+    p = T.Tensor([1.0, -2.0], requires_grad=True)
     opt = Adam([p])
     p.grad = np.zeros(2)
     opt.step()
@@ -413,14 +414,14 @@ def test_adam_zero_gradient_keeps_params():
 
 
 def test_adam_missing_gradient_raises():
-    p = T.tensor([1.0], requires_grad=True)
+    p = T.Tensor([1.0], requires_grad=True)
     opt = Adam([p])
     with pytest.raises(UsageError):
         opt.step()
 
 
 def test_adam_monotone_descent():
-    p = T.tensor([0.0], requires_grad=True)
+    p = T.Tensor([0.0], requires_grad=True)
     opt = Adam([p], lr=1e-2)
     prev = 0.0
     for _ in range(50):
@@ -433,7 +434,7 @@ def test_adam_monotone_descent():
 def test_adam_single_step_closed_form():
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     g = 0.37
-    p = T.tensor([1.5], requires_grad=True)
+    p = T.Tensor([1.5], requires_grad=True)
     opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
     p.grad = np.array([g])
     opt.step()
@@ -456,7 +457,7 @@ def test_adam_moment_shapes_match_params():
 # ---------------------------------------------------------------- misc
 
 def test_no_grad_blocks_taping():
-    x = T.tensor([1.0, 2.0], requires_grad=True)
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.no_grad():
         y = (x * x).sum()
     assert not y.requires_grad

@@ -50,6 +50,22 @@ def test_evaluate_needs_a_sample():
         train.evaluate(model, TaskKind.MQAR, tcfg, seed=[1], n_samples=0)
 
 
+def test_evaluate_takes_an_int_seed_as_generate_batch_does():
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
+    tcfg = TaskConfig(n=32)
+    assert (train.evaluate(model, TaskKind.MQAR, tcfg, seed=3, n_samples=4)
+            == train.evaluate(model, TaskKind.MQAR, tcfg, seed=[3], n_samples=4))
+
+
+def test_negative_seed_raises_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the seed check")
+
+    monkeypatch.setattr(train, "build_model", refuse)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        train.run_training(small(model="la"), -1)
+
+
 def test_non_finite_loss_raises_with_step():
     with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
         train.run_training(small(model="la", lr=1e38, steps=4), 1, eval_samples=8)
