@@ -291,6 +291,12 @@ def _unit_lower_inverse(m):
     return inv
 
 
+def _flush_subnormals(g):
+    """Zero, in place, every subnormal value of g (0 < |g| < tiny). Other
+    values, signed zeros included, keep their bits."""
+    g *= np.abs(g) >= np.finfo(g.dtype).tiny
+
+
 def _fold(x, c):
     """Sum the blocks of width c along the last axis: the L write pairs."""
     out = x[..., :c].copy()
@@ -337,6 +343,10 @@ class _Chunks:
     W = u S0^T + tinv m C and the write values V = C - [W; 0] =
     v_c - [u S0^T; 0]; with dk = diag(e[c, s]) K, the chunk's end state is
     S0 a_ch + v_c^T dk.
+
+    ``_chunk_terms`` returns v_c = C - [tinv m C; 0]. Once the start states
+    are known, ``_wy_forward`` subtracts [u S0^T; 0] in place, so v_c holds
+    V from then on, which is what the backward reads.
     """
 
     e: np.ndarray
@@ -382,8 +392,9 @@ def _chunk_terms(la, b, kw, cw, q) -> _Chunks:
 
 
 def _wy_forward(la, b, kw, cw, q, s0):
-    """Readouts (B, M, c, d) and the M+1 chunk-boundary states (B, M+1,
-    d, d) of the chunked scan; see ``chunked_scan`` for the algebra."""
+    """Readouts (B, M, c, d), the M+1 chunk-boundary states (B, M+1, d, d)
+    and the ``_Chunks`` they were built from, whose v_c then holds the write
+    values V; see ``chunked_scan`` for the algebra."""
     n_ch, c = la.shape[1:]
     ch = _chunk_terms(la, b, kw, cw, q)
     b_ch = _swap(ch.v_c) @ ch.dk
@@ -392,9 +403,8 @@ def _wy_forward(la, b, kw, cw, q, s0):
     for j in range(n_ch):
         bounds[:, j + 1] = bounds[:, j] @ ch.a_ch[:, j] + b_ch[:, j]
     s_t = _swap(bounds[:, :n_ch])
-    v = ch.v_c
-    v[:, :, :c] -= ch.u @ s_t
-    return ch.e[..., 1:, 0, None] * (q @ s_t) + ch.p @ v, bounds
+    ch.v_c[:, :, :c] -= ch.u @ s_t
+    return ch.e[..., 1:, 0, None] * (q @ s_t) + ch.p @ ch.v_c, bounds, ch
 
 
 def _first_non_finite_step(raw, readout, bounds, c):
@@ -410,9 +420,9 @@ def _first_non_finite_step(raw, readout, bounds, c):
     lo = t - t % c
     la, b, ks, cs, q = raw
     part = slice(lo, min(lo + c, n))
-    out, _ = _wy_forward(*_wy_inputs(la[:, part], b[:, part], [k[:, part] for k in ks],
-                                     [x[:, part] for x in cs], q[:, part], 1),
-                         bounds[:, lo // c])
+    out, _, _ = _wy_forward(*_wy_inputs(la[:, part], b[:, part], [k[:, part] for k in ks],
+                                        [x[:, part] for x in cs], q[:, part], 1),
+                            bounds[:, lo // c])
     bad = ~np.isfinite(out).all(axis=(0, 2, 3))
     return lo + int(bad.argmax()) if bad.any() else t
 
@@ -435,11 +445,23 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
     sequential loop. Ratios are exp of differences of cumulative log alpha;
     alpha = 0 enters as the smallest normal float.
 
-    The backward is hand-derived. Between the passes it keeps only the
-    (B, N/c + 1, d, d) boundary states, and it recomputes the inside of
-    every chunk. Raises NumericError whose ``step`` is the first step with
-    a non-finite readout, or, if every readout is finite, the last step of
-    the first chunk whose end state is not.
+    The backward is hand-derived. Between the passes a taped call keeps
+    the (B, N/c + 1, d, d) boundary states and the ``_Chunks`` its forward
+    built, and the backward reads the inside of every chunk from them
+    instead of rebuilding it. That costs about B N (4 L c + 2 L d + 2 c +
+    d + d^2 / c) floats, 256 per token at d 16, L 2, c 16 (8 MB per call
+    in float32 at B 4, N 2048). An untaped call keeps nothing.
+
+    With alpha near 0.5 the state gradient halves at every step back in
+    time, so float32 gradients pass through the subnormal range, where
+    every product takes a slow path. The backward zeroes subnormal values
+    where they arise: in the boundary-state gradients, before the products
+    of the chunk interiors, and in every gradient it returns. Float64
+    values this small do not occur in practice.
+
+    Raises NumericError whose ``step`` is the first step with a non-finite
+    readout, or, if every readout is finite, the last step of the first
+    chunk whose end state is not.
     """
     if len(ks) != len(cs):
         raise ShapeError(f"{len(ks)} injection keys for {len(cs)} columns")
@@ -449,7 +471,7 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
            [k.data for k in ks], [x.data for x in cs], q.data)
     la, b, kw, cw, qm = _wy_inputs(*raw, c)
     n_ch = la.shape[1]
-    out, bounds = _wy_forward(la, b, kw, cw, qm, s0.data)
+    out, bounds, ch = _wy_forward(la, b, kw, cw, qm, s0.data)
     readout = out.reshape(bsz, n_ch * c, d)[:, :n]
     if not (np.isfinite(readout).all() and np.isfinite(bounds).all()):
         step = _first_non_finite_step(raw, readout, bounds, c)
@@ -457,7 +479,6 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
                            step=step)
 
     def back(g_out, g_sn):
-        ch = _chunk_terms(la, b, kw, cw, qm)
         e, gram, qk, m, p, tinv, u, v, dk = (
             ch.e, ch.gram, ch.qk, ch.m, ch.p, ch.tinv, ch.u, ch.v_c, ch.dk)
         n_l = kw.shape[2] // c
@@ -466,7 +487,6 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
         k1 = kw[:, :, :c]
         s_start = bounds[:, :n_ch]
         s_t = _swap(s_start)
-        v[:, :, :c] -= u @ s_t
         w = cw[:, :, :c] - v[:, :, :c]
         d_o = _chunked(g_out, c)
 
@@ -478,6 +498,7 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
         for j in range(n_ch - 1, -1, -1):
             g_end[:, j] = grad
             grad = grad @ _swap(ch.a_ch[:, j]) + g_bound[:, j]
+        _flush_subnormals(g_end)
 
         # out = diag(gam) Q S0^T + p V
         d_gam = (d_o * (qm @ s_t)).sum(axis=-1)
@@ -524,8 +545,11 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
         def pairs(arr):
             return [unchunk(arr[:, :, l * c:(l + 1) * c]) for l in range(n_l)]
 
-        return (unchunk(d_a), unchunk(d_b), *pairs(d_k), *pairs(d_c),
-                unchunk(d_q), grad)
+        grads = (unchunk(d_a), unchunk(d_b), *pairs(d_k), *pairs(d_c),
+                 unchunk(d_q), grad)
+        for g in grads:
+            _flush_subnormals(g)
+        return grads
 
     return T.custom_op_multi((readout, bounds[:, n_ch]),
                              (alpha, beta1, *ks, *cs, q, s0), back)

@@ -23,7 +23,7 @@ CSV_HEADER = ("run_id", "model", "task", "seed", "step", "loss",
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
 
 
-def _is_a(value, kind):
+def is_a(value, kind):
     """``isinstance``, except that a bool is not a number here."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
@@ -45,7 +45,7 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _is_a(value, _KINDS[f.type]):
+            if not is_a(value, _KINDS[f.type]):
                 raise ConfigError(f"config field '{f.name}' must be {f.type}, "
                                   f"got {value!r}")
         for name in ("d", "l", "v", "n", "batch"):
@@ -58,7 +58,7 @@ class RunConfig:
                               f"got {self.lr!r}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("config field 'precision' must be 'f32' or 'f64'")
-        if not self.seeds or not all(_is_a(s, numbers.Integral) and s >= 0
+        if not self.seeds or not all(is_a(s, numbers.Integral) and s >= 0
                                      for s in self.seeds):
             raise ConfigError(f"config field 'seeds' must be a non-empty list of "
                               f"non-negative ints, got {self.seeds!r}")

@@ -13,7 +13,8 @@ is one (d, 4d) matrix whose column block i belongs to expert i, and the
 B*4 memories of a batch run through one ``blocked_gated_scan`` call. That
 scan works time-major, SCAN_BLOCK steps at a time, and keeps only the
 block-boundary states for its backward, which recomputes each block's
-states from its boundary (the policy of PRISM's ``cell.chunked_scan``).
+states from its boundary: one (d, d) state per memory every SCAN_BLOCK
+steps instead of every step, for a second pass over the states.
 ``gated_la_scan``, which keeps every state, is its step-by-step oracle.
 """
 

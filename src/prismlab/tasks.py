@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import is_a
 from .errors import ConfigError, DataError
 
 NAMED_TOKENS = ("QUERY", "TOK_XOR", "ON", "OFF", "NULL",
@@ -173,11 +175,15 @@ def _base_sequence(cfg, rng_noise, layout):
 
 
 def seed_list(seed):
-    """A seed (an int, or a list or tuple of ints) as a list of ints >= 0."""
-    seeds = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+    """A seed (an int, or a list or tuple of ints) as a list of ints >= 0.
+    numpy integers count as ints; a float or bool element is refused, not
+    truncated."""
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    if not all(is_a(s, numbers.Integral) for s in seeds):
+        raise ConfigError(f"seed must be an int or a list of ints, got {seed!r}")
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seed must be non-negative, got {seed!r}")
-    return seeds
+    return [int(s) for s in seeds]
 
 
 def _rngs(cfg, task_id, index=0):

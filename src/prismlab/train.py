@@ -8,13 +8,14 @@ positions; accuracy is the exact-argmax match fraction.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .config import MetricRecord, RunConfig
+from .config import MetricRecord, RunConfig, is_a
 from .errors import ConfigError, NumericError
 from .models import ModelKind, build_model
 from .optim import Adam
@@ -74,10 +75,11 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
 
     steps=0 evaluates the random initialization. An ``n`` too short for
     the task's payload, an ``eval_every`` or ``eval_samples`` below 1, or a
-    negative ``seed`` raises ConfigError before the model is built. A
-    non-finite loss aborts with the failing step index. ``tokens_per_s``
-    times only the forward pass, the backward pass and the update: batch
-    generation and the evaluations behind each snapshot are left out.
+    ``seed`` that is not an int >= 0 raises ConfigError before the model is
+    built. A non-finite loss aborts with the failing step index.
+    ``tokens_per_s`` times only the forward pass, the backward pass and the
+    update: batch generation and the evaluations behind each snapshot are
+    left out.
     """
     kind = ModelKind.parse(cfg.model)
     task = TaskKind.parse(cfg.task)
@@ -88,8 +90,11 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     for name, value in (("eval_every", eval_every), ("eval_samples", eval_samples)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not is_a(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = int(seed)
     dtype = cfg.dtype()
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)

@@ -1,7 +1,9 @@
 """PRISM cell tests: naive rollout oracle, scan equivalence, transition
 algebra, spectrum and rank structure, loop stability."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from oracles import (TransitionPair, assert_chunked_scan_matches_serial,
                      build_transition, compose_transitions, dense_transitions,
                      assert_same_bits, gelu_deriv_fn, gelu_fn, grad_check)
+from prismlab import cell
 from prismlab import tensor as T
 from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
                            StepTerms, chunked_forward, chunked_scan,
@@ -681,6 +684,60 @@ def test_chunked_carries_no_gradient():
     x = T.Tensor(rng.standard_normal((1, 8, 4)), requires_grad=True)
     y, _ = chunked_scan_forward(x, params, cfg)
     assert not y.requires_grad
+
+
+def test_chunked_scan_returns_no_subnormal_gradients(monkeypatch):
+    # alpha 0.5 halves the state gradient at every step back in time, so a
+    # readout gradient at the last step alone reaches the subnormal range
+    # about 126 steps earlier. The chunked backward zeroes those values and
+    # otherwise agrees with scan_core's, which keeps them.
+    rng = np.random.default_rng(49)
+    bsz, n, d, L = 2, 300, 4, 2
+    tiny = np.finfo(np.float32).tiny
+
+    def f32(a):
+        return T.Tensor(np.asarray(a, dtype=np.float32), requires_grad=True)
+
+    args = (f32(np.full((bsz, n), 0.5)), f32(np.zeros((bsz, n))),
+            [f32(rng.standard_normal((bsz, n, d)) * 0.5) for _ in range(L)],
+            [f32(rng.standard_normal((bsz, n, d))) for _ in range(L)],
+            f32(rng.standard_normal((bsz, n, d))), f32(rng.standard_normal((bsz, d, d))))
+    g_out = np.zeros((bsz, n, d), dtype=np.float32)
+    g_out[:, -1] = rng.standard_normal((bsz, d))
+    backs = []
+    monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
+    grads = {}
+    for name, scan in (("serial", scan_core), ("chunked", lambda *a: chunked_scan(*a, chunk=16))):
+        _, s_n = scan(*args)
+        grads[name] = backs.pop()(g_out, np.zeros_like(s_n.data))
+    assert any(((g != 0) & (np.abs(g) < tiny)).any() for g in grads["serial"])
+    for i, (want, got) in enumerate(zip(grads["serial"], grads["chunked"])):
+        assert np.count_nonzero((got != 0) & (np.abs(got) < tiny)) == 0, i
+        # Zeroing a value below tiny moves a gradient by less than tiny.
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=2 * tiny, err_msg=str(i))
+
+
+def test_chunked_scan_builds_its_chunk_terms_once(monkeypatch):
+    # A taped call keeps the chunk terms its forward built, and its backward
+    # reuses them; an untaped call keeps nothing once it returns.
+    built = []
+    chunk_terms = cell._chunk_terms
+
+    def counted(*args):
+        ch = chunk_terms(*args)
+        built.append(weakref.ref(ch))
+        return ch
+
+    monkeypatch.setattr(cell, "_chunk_terms", counted)
+    cfg, params, rng = make({"d": 4, "chunk": 4}, seed=50)
+    x = T.Tensor(rng.standard_normal((2, 10, 4)))
+    y, _ = chunked_forward(x, params, cfg)
+    T.backward((y * y).sum())
+    assert len(built) == 1
+    assert params.w_alpha.grad is not None
+    chunked_scan_forward(x, params, cfg)
+    gc.collect()
+    assert len(built) == 2 and built[1]() is None
 
 
 @pytest.mark.parametrize("forward", [serial_forward, chunked_scan_forward])

@@ -250,6 +250,22 @@ def test_negative_seed_raises_config_error(seed):
         generate_batch(TaskKind.MQAR, TaskConfig(n=32), 2, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, [1, 2.5], [np.int64(1), False]],
+                         ids=["float", "integral-float", "bool", "list-float", "list-bool"])
+def test_non_integer_seed_raises_config_error(seed):
+    # int() would truncate 1.7 to 1 and hand back seed 1's batch.
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        generate_batch(TaskKind.MQAR, TaskConfig(n=32), 2, seed=seed)
+
+
+def test_numpy_integer_seeds_are_ints():
+    cfg = TaskConfig(n=32)
+    for seed, same in ((np.int64(3), 3), ([np.int32(3), np.uint8(4)], [3, 4])):
+        for a, b in zip(generate_batch(TaskKind.MQAR, cfg, 2, seed=seed),
+                        generate_batch(TaskKind.MQAR, cfg, 2, seed=same)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_task_kind_parse():
     assert TaskKind.parse("local-xor") is TaskKind.LOCAL_XOR
     with pytest.raises(ConfigError):

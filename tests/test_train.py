@@ -66,6 +66,25 @@ def test_negative_seed_raises_before_any_work(monkeypatch):
         train.run_training(small(model="la"), -1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, [1]])
+def test_non_integer_seed_raises_before_any_work(monkeypatch, seed):
+    # default_rng would raise a bare TypeError for 1.5 once the model is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the seed check")
+
+    monkeypatch.setattr(train, "build_model", refuse)
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        train.run_training(small(model="la"), seed)
+
+
+def test_numpy_integer_seed_trains_as_the_int():
+    cfg = small(model="la", steps=1)
+    want = train.run_training(cfg, 2, eval_samples=4).final
+    got = train.run_training(cfg, np.int64(2), eval_samples=4).final
+    assert (got.loss, got.accuracy, got.run_id) == (want.loss, want.accuracy, want.run_id)
+    assert type(got.seed) is int
+
+
 def test_non_finite_loss_raises_with_step():
     with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
         train.run_training(small(model="la", lr=1e38, steps=4), 1, eval_samples=8)
