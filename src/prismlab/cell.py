@@ -7,7 +7,8 @@ The state update is right-multiplicative,
     y_t = OutProj(S_t q_t),
 
 with the injection C_t K_t = sum_l c^(l)_t (x) k^(l)_t of rank at most L
-carried as its L factor pairs, never as a dense (d, d) matrix. Every
+carried as its factors, never as a dense (d, d) matrix: the keys and
+columns of the L pairs are (B, N, L, d) stacks, forget pair first. Every
 transition operator depends only on the input prefix, never on the running
 state, which is what makes the chunked scan legal.
 
@@ -26,12 +27,13 @@ one fused tape node with a hand-derived backward each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError
+from .config import check_int
+from .errors import NumericError, ShapeError
 from .tensor import Tensor
 
 
@@ -44,22 +46,23 @@ class PrismConfig:
 
     def __post_init__(self):
         for name in ("d", "L", "w", "chunk"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"PrismConfig.{name} must be >= 1")
+            check_int(f"PrismConfig.{name}", getattr(self, name), 1)
 
 
 @dataclass
 class PrismParams:
     """Learnable weights of one PRISM layer (all stored for right
-    multiplication: projected = row_vector @ W)."""
+    multiplication: projected = row_vector @ W). Column l of w_beta, and
+    column block l of w_k and of w_p, belong to pair l; block l is the l-th
+    (d, d) matrix its group draws."""
 
     conv: Tensor          # (w, d) depthwise causal kernel
     w_q: Tensor           # (d, d)
     w_v: Tensor           # (d, d)
-    w_alpha: Tensor       # (d,) -> scalar gate pre-activation
-    w_k: list             # L x (d, d)
-    w_p: list             # L x (d, d)
-    w_beta: list          # L x (d,)
+    w_alpha: Tensor       # (d, 1) -> scalar gate pre-activation
+    w_k: Tensor           # (d, L*d)
+    w_p: Tensor           # (d, L*d)
+    w_beta: Tensor        # (d, L)
     w_o: Tensor           # (d, d) output projection
 
     @classmethod
@@ -67,50 +70,43 @@ class PrismParams:
         d, w = cfg.d, cfg.w
         sd = 1.0 / np.sqrt(d)
 
-        def mat():
-            return T.Tensor((rng.standard_normal((d, d)) * sd).astype(dtype),
+        def mats(count=1):
+            blocks = [rng.standard_normal((d, d)) * sd for _ in range(count)]
+            return T.Tensor(np.concatenate(blocks, axis=1).astype(dtype),
                             requires_grad=True)
 
         kern = rng.standard_normal((w, d)) * (0.5 / w)
         kern[-1] += 1.0  # start near the identity tap: u ~ silu(x)
         return cls(
             conv=T.Tensor(kern.astype(dtype), requires_grad=True),
-            w_q=mat(), w_v=mat(),
-            w_alpha=T.Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-            w_k=[mat() for _ in range(cfg.L)],
-            w_p=[mat() for _ in range(cfg.L)],
-            w_beta=[T.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-                    for _ in range(cfg.L)],
-            w_o=mat(),
+            w_q=mats(), w_v=mats(),
+            w_alpha=T.zeros((d, 1), dtype=dtype, requires_grad=True),
+            w_k=mats(cfg.L), w_p=mats(cfg.L),
+            w_beta=T.zeros((d, cfg.L), dtype=dtype, requires_grad=True),
+            w_o=mats(),
         )
 
     def params(self):
-        yield self.conv
-        yield self.w_q
-        yield self.w_v
-        yield self.w_alpha
-        yield from self.w_k
-        yield from self.w_p
-        yield from self.w_beta
-        yield self.w_o
+        yield from (self.conv, self.w_q, self.w_v, self.w_alpha, self.w_k, self.w_p,
+                    self.w_beta, self.w_o)
 
 
 @dataclass
 class StepTerms:
     """Per-step quantities of one sequence (leading batch axis).
 
-    u, q, v: (B, N, d); alpha: (B, N); per layer l: k[l], p[l]: (B, N, d)
-    and beta[l]: (B, N). Gates are post-sigmoid, so alpha and beta lie in
-    (0, 1); k[0] is rescaled into the unit ball.
+    u, q, v: (B, N, d); alpha: (B, N); the L pairs, stacked on axis 2:
+    k, p: (B, N, L, d), beta: (B, N, L). Gates are post-sigmoid, in (0, 1);
+    the forget key k[:, :, 0] is rescaled into the unit ball.
     """
 
     u: Tensor
     q: Tensor
     v: Tensor
     alpha: Tensor
-    k: list = field(default_factory=list)
-    p: list = field(default_factory=list)
-    beta: list = field(default_factory=list)
+    k: Tensor
+    p: Tensor
+    beta: Tensor
 
 
 # --------------------------------------------------------------------------
@@ -124,105 +120,112 @@ def compute_anchor(x: Tensor, params: PrismParams) -> Tensor:
 
 
 def scale_into_unit_ball(k: Tensor) -> Tensor:
-    """Rescale each row vector by 1 / max(1, ||row||_2)."""
+    """Rescale the forget key k[..., 0, :] of a (..., L, d) key stack by
+    1 / max(1, ||k[..., 0, :]||_2). The other keys pass unchanged."""
     kd = k.data
-    n = np.sqrt((kd * kd).sum(axis=-1, keepdims=True))
+    k1 = kd[..., 0, :]
+    n = np.sqrt((k1 * k1).sum(axis=-1, keepdims=True))
     big = n > 1.0
     scale = np.where(big, 1.0 / np.maximum(n, 1e-300), 1.0)
-    out_data = kd * scale
+    out_data = kd.copy()
+    out1 = out_data[..., 0, :]
+    out1 *= scale
 
     def back(g):
         # Inside the ball the map is the identity; outside it is k / ||k||,
         # whose Jacobian is (I - uu^T)/||k|| with u the unit output row.
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        g_out = (g - out_data * inner) * scale
-        return (np.where(big, g_out, g),)
+        g1 = g[..., 0, :]
+        inner = (g1 * out1).sum(axis=-1, keepdims=True)
+        g_k = g.copy()
+        g_k[..., 0, :] = np.where(big, (g1 - out1 * inner) * scale, g1)
+        return (g_k,)
 
     return T.custom_op(out_data, (k,), back)
 
 
 def compute_step_terms(u: Tensor, params: PrismParams, cfg: PrismConfig) -> StepTerms:
-    """Project the anchor into all per-step quantities.
+    """Project the anchor into all per-step quantities, one product each.
 
     alpha_t = sigmoid(u_t . w_alpha); beta^(l)_t = sigmoid(u_t . w_beta^(l));
     k, p, q, v are plain linear maps of u. k^(1) is pulled into the unit
     ball, satisfying the spectrum bound's hypothesis.
     """
-    alpha = T.sigmoid(u @ params.w_alpha)
-    terms = StepTerms(u=u, q=u @ params.w_q, v=u @ params.w_v, alpha=alpha)
-    for l in range(cfg.L):
-        k_l = u @ params.w_k[l]
-        if l == 0:
-            k_l = scale_into_unit_ball(k_l)
-        terms.k.append(k_l)
-        terms.p.append(u @ params.w_p[l])
-        terms.beta.append(T.sigmoid(u @ params.w_beta[l]))
-    return terms
+    steps = u.data.shape[:-1]
+    pairs = steps + (cfg.L, cfg.d)
+    return StepTerms(u=u, q=u @ params.w_q, v=u @ params.w_v,
+                     alpha=T.reshape(T.sigmoid(u @ params.w_alpha), steps),
+                     k=scale_into_unit_ball(T.reshape(u @ params.w_k, pairs)),
+                     p=T.reshape(u @ params.w_p, pairs),
+                     beta=T.sigmoid(u @ params.w_beta))
 
 
 # --------------------------------------------------------------------------
 # fused rank-L accumulation
 # --------------------------------------------------------------------------
 
-def rank_accumulate(terms: StepTerms, v: Tensor, u: Tensor, cfg: PrismConfig):
+def rank_accumulate(terms: StepTerms):
     """The L columns of the injection, by anchored residual refinement.
 
-    r^(1) = v - u; per layer: delta = GELU(p^(l) * r^(l)),
-    c^(l) = beta^(l) delta, r^(l+1) = r^(l) - delta. The injection
-    B = sum_l c^(l) (x) k^(l) stays factored, so the keys are no input here.
+    r^(1) = v - u; per pair l < L (the size of p's pair axis): delta =
+    GELU(p^(l) * r^(l)), c^(l) = beta^(l) delta, r^(l+1) = r^(l) - delta.
+    The injection sum_l c^(l) (x) k^(l) stays factored: no key is an input.
 
-    Returns (cs, residuals): the L columns, each (..., N, d), as one fused
-    tape node, and the L+1 residuals r^(1) .. r^(L+1), untaped. The
-    forward keeps Phi(z) of each layer; GELU' is formed from it only when
+    Returns (cols, residuals): the (B, N, L, d) columns as one fused tape
+    node, and r^(1) .. r^(L+1) as one untaped (L+1, B, N, d) tensor. The
+    forward keeps Phi(z) of each pair; GELU' is formed from it only when
     the backward runs, so a call without the tape never forms it.
     """
-    L = cfg.L
-    ps, bs = terms.p[:L], terms.beta[:L]
-    pd, bd = [t.data for t in ps], [t.data for t in bs]
-    r = v.data - u.data
-    residuals, deltas, cdfs = [r], [], []
-    for l in range(L):
-        z = pd[l] * r
-        cdfs.append(T.normal_cdf(z))
-        deltas.append(z * cdfs[l])
-        r = r - deltas[l]
-        residuals.append(r)
-    cs = [bd[l][..., None] * deltas[l] for l in range(L)]
+    v, u, p, beta = terms.v, terms.u, terms.p, terms.beta
+    pd, bd = p.data, beta.data
+    n_l = pd.shape[-2]
+    res = np.empty((n_l + 1,) + v.data.shape, dtype=pd.dtype)
+    np.subtract(v.data, u.data, out=res[0])
+    # Phi(z) and delta stay numpy's own arrays: preallocated stacks were slower.
+    cdfs, deltas = [], []
+    cols = np.empty_like(pd)
+    for l in range(n_l):
+        delta = pd[..., l, :] * res[l]
+        cdfs.append(T.normal_cdf(delta))
+        delta *= cdfs[l]
+        deltas.append(delta)
+        np.subtract(res[l], delta, out=res[l + 1])
+        np.multiply(bd[..., l, None], delta, out=cols[..., l, :])
 
-    def back(*g_cs):
-        grad = np.zeros_like(r)  # d loss / d r^(l+1); residuals are untaped
-        g_ps, g_bs = [None] * L, [None] * L
-        for l in range(L - 1, -1, -1):
-            g_bs[l] = (g_cs[l] * deltas[l]).sum(axis=-1)
-            gder = T.gelu_slope(pd[l] * residuals[l], cdfs[l])
-            t_l = (bd[l][..., None] * g_cs[l] - grad) * gder
-            g_ps[l] = t_l * residuals[l]
-            grad = grad + t_l * pd[l]
-        return (grad, -grad, *g_ps, *g_bs)
+    def back(g):
+        grad = np.zeros_like(res[0])  # d loss / d r^(l+1); residuals are untaped
+        g_p, g_beta = np.empty_like(pd), np.empty_like(bd)
+        for l in range(n_l - 1, -1, -1):
+            # Pair slices are strided rows, read twice: numpy pays per row.
+            p_l, g_l = np.ascontiguousarray(pd[..., l, :]), np.ascontiguousarray(g[..., l, :])
+            g_beta[..., l] = (g_l * deltas[l]).sum(axis=-1)
+            gder = T.gelu_slope(p_l * res[l], cdfs[l])
+            t_l = (bd[..., l, None] * g_l - grad) * gder
+            g_p[..., l, :] = t_l * res[l]
+            grad = grad + t_l * p_l
+        return grad, -grad, g_p, g_beta
 
-    cs = T.custom_op_multi(cs, (v, u, *ps, *bs), back)
-    return list(cs), [Tensor(res) for res in residuals]
+    return T.custom_op(cols, (v, u, p, beta), back), Tensor(res)
 
 
 # --------------------------------------------------------------------------
 # rollouts
 # --------------------------------------------------------------------------
 
-def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
+def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
               s0: Tensor):
     """Differentiable serial rollout (one fused tape node).
 
-    alpha, beta1: (B, N); q and every ks[l], cs[l]: (B, N, d); s0: (B, d, d).
-    ks[0] is the forget key k1. Step t adds the injection as C_t K_t, with
-    the columns c_l in C_t (d x L) and the keys k_l as the rows of K_t.
-    Returns (readout (B, N, d), s_n (B, d, d)) with readout_t = S_t q_t.
-    Raises NumericError (with the step index) if the state goes non-finite.
+    alpha, beta1: (B, N); q: (B, N, d); s0: (B, d, d); k, cols: the
+    (B, N, L, d) pair stacks, k[:, :, 0] the forget key k1. Step t adds the
+    injection as C_t K_t, with the columns cols[:, t] in C_t (d x L) and
+    the keys k[:, t] as the rows of K_t. Returns (readout (B, N, d), s_n
+    (B, d, d)) with readout_t = S_t q_t. Raises ShapeError if k and cols
+    differ in shape, NumericError (with the step) on a non-finite state.
     """
-    if len(ks) != len(cs):
-        raise ShapeError(f"{len(ks)} injection keys for {len(cs)} columns")
-    ad, bd, qd, s0d = alpha.data, beta1.data, q.data, s0.data
-    kmat = np.stack([k.data for k in ks], axis=-2)   # (B, N, L, d)
-    cmat = np.stack([c.data for c in cs], axis=-1)   # (B, N, d, L)
+    if k.data.shape != cols.data.shape:
+        raise ShapeError(f"injection keys {k.data.shape} and columns {cols.data.shape} differ")
+    ad, bd, kmat, cmat, qd, s0d = (t.data for t in (alpha, beta1, k, cols, q, s0))
+    c_t = np.ascontiguousarray(_swap(cmat))   # (B, N, d, L): the C_t of every step
     bsz, n, d = qd.shape
     s_hist = np.empty((bsz, n + 1, d, d), dtype=s0d.dtype)
     m_hist = np.empty((bsz, n, d), dtype=s0d.dtype)
@@ -235,7 +238,7 @@ def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
         m_hist[:, t] = m
         s = ad[:, t, None, None] * (s - bd[:, t, None, None]
                                     * (m[:, :, None] * kt[:, None, :]))
-        s += cmat[:, t] @ kmat[:, t]
+        s += c_t[:, t] @ kmat[:, t]
         if not np.isfinite(s).all():
             raise NumericError(f"state became non-finite at step {t}", step=t)
         s_hist[:, t + 1] = s
@@ -244,7 +247,7 @@ def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
     def back(g_out, g_sn):
         grad_s = g_sn.copy()
         g_a, g_b1, g_q = np.empty_like(ad), np.empty_like(bd), np.empty_like(qd)
-        g_kmat, g_cmat = np.empty_like(kmat), np.empty_like(cmat)
+        g_k, g_c = np.empty_like(kmat), np.empty_like(cmat)
         for t in range(n - 1, -1, -1):
             kt = kmat[:, t, 0]
             m = m_hist[:, t]
@@ -255,23 +258,22 @@ def scan_core(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
             grad_s += go[:, :, None] * qd[:, t][:, None, :]
             g_q[:, t] = (np.swapaxes(st, 1, 2) @ go[:, :, None])[:, :, 0]
             # S_t = a * (S_prev - b1 * m (x) k1) + C_t K_t
-            g_cmat[:, t] = grad_s @ np.swapaxes(kmat[:, t], 1, 2)    # G K^T
-            g_kmat[:, t] = np.swapaxes(cmat[:, t], 1, 2) @ grad_s    # C^T G
+            g_c[:, t] = kmat[:, t] @ np.swapaxes(grad_s, 1, 2)       # (G K^T)^T
+            g_k[:, t] = cmat[:, t] @ grad_s                          # C^T G
             decayed = s_prev - bd[:, t, None, None] * (m[:, :, None] * kt[:, None, :])
             g_a[:, t] = (grad_s * decayed).sum(axis=(1, 2))
             at = ad[:, t, None]
-            w2 = g_cmat[:, t, :, 0]                                  # G k1
+            w2 = g_c[:, t, 0]                                         # G k1
             w1 = (np.swapaxes(grad_s, 1, 2) @ m[:, :, None])[:, :, 0]  # G^T m
             g_b1[:, t] = -(ad[:, t]) * (m * w2).sum(axis=1)
-            g_kmat[:, t, 0] -= (at * bd[:, t, None]) * (
+            g_k[:, t, 0] -= (at * bd[:, t, None]) * (
                 (np.swapaxes(s_prev, 1, 2) @ w2[:, :, None])[:, :, 0] + w1)
             # G_{t-1} = a * (G - b1 * (G k1) (x) k1)
             grad_s = ad[:, t, None, None] * (
                 grad_s - bd[:, t, None, None] * (w2[:, :, None] * kt[:, None, :]))
-        return (g_a, g_b1, *np.moveaxis(g_kmat, 2, 0), *np.moveaxis(g_cmat, 3, 0),
-                g_q, grad_s)
+        return g_a, g_b1, g_k, g_c, g_q, grad_s
 
-    return T.custom_op_multi((out, s), (alpha, beta1, *ks, *cs, q, s0), back)
+    return T.custom_op_multi((out, s), (alpha, beta1, k, cols, q, s0), back)
 
 
 def _swap(a):
@@ -299,10 +301,7 @@ def _flush_subnormals(g):
 
 def _fold(x, c):
     """Sum the blocks of width c along the last axis: the L write pairs."""
-    out = x[..., :c].copy()
-    for lo in range(c, x.shape[-1], c):
-        out += x[..., lo:lo + c]
-    return out
+    return x.reshape(x.shape[:-1] + (x.shape[-1] // c, c)).sum(axis=-2)
 
 
 def _chunked(arr, c):
@@ -315,25 +314,26 @@ def _chunked(arr, c):
     return arr.reshape((bsz, (n + pad) // c, c) + arr.shape[2:])
 
 
-def _wy_inputs(la, b, ks, cs, q, c):
+def _wy_inputs(la, b, k, cols, q, c):
     """Scan inputs as raw (B, N, ...) arrays, cut into M chunks of c steps.
 
-    The L injection pairs only widen the write side: keys and columns of a
-    chunk are stacked pair by pair into one (L c, d) block, forget key
-    first. Padded steps are identity steps (log alpha 0, all else 0).
+    The L injection pairs only widen the write side: the (B, N, L, d) keys
+    and columns become one (B, M, L c, d) block each, pair-major inside a
+    chunk (row l c + s is pair l at step s), so the forget keys are its
+    first c rows. Padded steps are identity steps (log alpha 0, all else 0).
     """
-    def wide(arrs):
-        stacked = np.stack([_chunked(a, c) for a in arrs], axis=2)  # (B, M, L, c, d)
-        bsz, n_ch, n_l, _, d = stacked.shape
-        return stacked.reshape(bsz, n_ch, n_l * c, d)
-    return _chunked(la, c), _chunked(b, c), wide(ks), wide(cs), _chunked(q, c)
+    def wide(a):
+        chunks = _chunked(a, c)                     # (B, M, c, L, d)
+        bsz, n_ch, _, n_l, d = chunks.shape
+        return chunks.swapaxes(2, 3).reshape(bsz, n_ch, n_l * c, d)
+    return _chunked(la, c), _chunked(b, c), wide(k), wide(cols), _chunked(q, c)
 
 
 @dataclass
 class _Chunks:
     """The parts of every chunk that do not depend on its start state S0.
 
-    With t a step of the chunk and (l, s) a write (pair l at step s):
+    With t a step of the chunk and (l, s) a write, pair l at step s (index l c + s):
     e (B, M, c+1, c+1) holds the decay ratios e[t, s] = alpha_{s+1} ...
     alpha_t for s <= t and zeros above the diagonal, index 0 being the
     chunk start; gram and qk (B, M, c, L c) hold k1_t . k_l,s and
@@ -342,7 +342,7 @@ class _Chunks:
     (I + m_0)^-1, m_0 the block of the forget key. The erases are
     W = u S0^T + tinv m C and the write values V = C - [W; 0] =
     v_c - [u S0^T; 0]; with dk = diag(e[c, s]) K, the chunk's end state is
-    S0 a_ch + v_c^T dk.
+    S0 a_ch + v_c^T dk. u is (B, M, c, d), v_c and dk (B, M, L c, d).
 
     ``_chunk_terms`` returns v_c = C - [tinv m C; 0]. Once the start states
     are known, ``_wy_forward`` subtracts [u S0^T; 0] in place, so v_c holds
@@ -418,16 +418,13 @@ def _first_non_finite_step(raw, readout, bounds, c):
         return min((j + 1) * c, n) - 1
     t = int(bad.argmax())
     lo = t - t % c
-    la, b, ks, cs, q = raw
     part = slice(lo, min(lo + c, n))
-    out, _, _ = _wy_forward(*_wy_inputs(la[:, part], b[:, part], [k[:, part] for k in ks],
-                                        [x[:, part] for x in cs], q[:, part], 1),
-                            bounds[:, lo // c])
+    out, _, _ = _wy_forward(*_wy_inputs(*(a[:, part] for a in raw), 1), bounds[:, lo // c])
     bad = ~np.isfinite(out).all(axis=(0, 2, 3))
     return lo + int(bad.argmax()) if bad.any() else t
 
 
-def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
+def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
                  s0: Tensor, chunk: int):
     """Differentiable chunked rollout in WY form (one fused tape node).
 
@@ -463,12 +460,12 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
     readout, or, if every readout is finite, the last step of the first
     chunk whose end state is not.
     """
-    if len(ks) != len(cs):
-        raise ShapeError(f"{len(ks)} injection keys for {len(cs)} columns")
+    if k.data.shape != cols.data.shape:
+        raise ShapeError(f"injection keys {k.data.shape} and columns {cols.data.shape} differ")
     bsz, n, d = q.data.shape
     c = max(1, min(chunk, n))
     raw = (np.log(np.maximum(alpha.data, np.finfo(q.data.dtype).tiny)), beta1.data,
-           [k.data for k in ks], [x.data for x in cs], q.data)
+           k.data, cols.data, q.data)
     la, b, kw, cw, qm = _wy_inputs(*raw, c)
     n_ch = la.shape[1]
     out, bounds, ch = _wy_forward(la, b, kw, cw, qm, s0.data)
@@ -543,16 +540,15 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, ks: list, cs: list, q: Tensor,
             return arr.reshape((bsz, n_ch * c) + arr.shape[3:])[:, :n]
 
         def pairs(arr):
-            return [unchunk(arr[:, :, l * c:(l + 1) * c]) for l in range(n_l)]
+            return unchunk(arr.reshape(bsz, n_ch, n_l, c, d).swapaxes(2, 3))
 
-        grads = (unchunk(d_a), unchunk(d_b), *pairs(d_k), *pairs(d_c),
-                 unchunk(d_q), grad)
+        grads = (unchunk(d_a), unchunk(d_b), pairs(d_k), pairs(d_c), unchunk(d_q), grad)
         for g in grads:
             _flush_subnormals(g)
         return grads
 
     return T.custom_op_multi((readout, bounds[:, n_ch]),
-                             (alpha, beta1, *ks, *cs, q, s0), back)
+                             (alpha, beta1, k, cols, q, s0), back)
 
 
 def _rollout(x: Tensor, params: PrismParams, cfg: PrismConfig, scan):
@@ -563,8 +559,8 @@ def _rollout(x: Tensor, params: PrismParams, cfg: PrismConfig, scan):
     bsz, _, d = x.data.shape
     u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
-    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-    readout, s_n = scan(terms.alpha, terms.beta[0], terms.k, cs, terms.q,
+    cols, _ = rank_accumulate(terms)
+    readout, s_n = scan(terms.alpha, terms.beta[:, :, 0], terms.k, cols, terms.q,
                         T.zeros((bsz, d, d), dtype=x.data.dtype))
     return readout @ params.w_o, s_n
 
@@ -630,10 +626,7 @@ class PrismBlockParams:
         yield from self.prism.params()
         yield self.ln2_g
         yield self.ln2_b
-        yield self.mlp_w1
-        yield self.mlp_b1
-        yield self.mlp_w2
-        yield self.mlp_b2
+        yield from (self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
 
 def prism_block_forward(x: Tensor, block: PrismBlockParams, cfg: PrismConfig) -> Tensor:

@@ -28,6 +28,15 @@ def is_a(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def check_int(name, value, low):
+    """``value`` as an int; ConfigError unless it is an int (not a bool) >= ``low``."""
+    if not is_a(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
     model: str = "prism"

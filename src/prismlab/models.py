@@ -27,6 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .cell import PrismBlockParams, PrismConfig, prism_block_forward
+from .config import check_int
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .tensor import Tensor
 
@@ -356,6 +357,8 @@ class SequenceModel:
 
     def __init__(self, kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
                  seed=0, dtype=np.float32):
+        for name, value in (("d", d), ("vocab", vocab), ("n_ctx", n_ctx), ("L", L)):
+            check_int(f"model {name}", value, 1)
         self.kind = kind
         self.d = d
         self.vocab = vocab

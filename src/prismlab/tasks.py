@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import is_a
+from .config import check_int, is_a
 from .errors import ConfigError, DataError
 
 NAMED_TOKENS = ("QUERY", "TOK_XOR", "ON", "OFF", "NULL",
@@ -60,7 +60,6 @@ def vocab_partition(v):
     takes the rest. For V=64 this is [0,16) noise, [16,48) data, [48,64)
     control.
     """
-    v = int(v)
     if v < 32:
         raise ConfigError(f"vocabulary too small: {v} < 32")
     data_n = v // 2
@@ -102,8 +101,8 @@ class TaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ConfigError("sequence length must be >= 8")
+        check_int("TaskConfig.n", self.n, 8)
+        check_int("TaskConfig.v", self.v, 1)
         vocab_partition(self.v)  # raises ConfigError for a vocabulary too small
 
     def layout(self):
@@ -371,7 +370,9 @@ def generate_batch(kind: TaskKind, cfg: TaskConfig, batch: int, seed: int):
     """Deterministic batch: pure function of (kind, cfg, batch, seed).
 
     Returns (tokens (B, N), query_positions (B, Q), targets (B, Q)).
+    Raises ConfigError unless ``batch`` is an int >= 0.
     """
+    check_int("batch", batch, 0)
     cfg = replace(cfg, seed=seed)
     q = queries_per_sample(kind)
     tokens = np.empty((batch, cfg.n), dtype=np.int64)

@@ -177,13 +177,13 @@ def mul(a, b):
 def matmul(a, b):
     """Matrix product with numpy batch broadcasting.
 
-    Gradients follow d/da = g @ b^T and d/db = a^T @ g (batch dims summed
-    back where broadcast).
+    Both operands have 2 or more dims. Gradients follow d/da = g @ b^T and
+    d/db = a^T @ g (batch dims summed back where broadcast).
     """
     _check_dtypes(a, b, "matmul")
-    if a.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: needs a left operand of 2 or more dims and agreeing "
-                         f"inner dimensions, got {a.data.shape} x {b.data.shape}")
+    if min(a.data.ndim, b.data.ndim) < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul: needs a left operand of 2 or more dims, a right one likewise "
+                         f"and agreeing inner dimensions, got {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data, requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         ad, bd = a.data, b.data
@@ -191,13 +191,6 @@ def matmul(a, b):
 
         def back(g):
             ga = gb = None
-            if bd.ndim == 1:
-                if na:
-                    ga = _unbroadcast(np.multiply.outer(g, bd), ad.shape)
-                if nb:
-                    gb = _unbroadcast((ad * g[..., None]).reshape(-1, ad.shape[-1]).sum(0),
-                                      bd.shape)
-                return ga, gb
             if na:
                 ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
             if nb:
@@ -482,7 +475,8 @@ def backward(loss):
     """Reverse-sweep the active tape from a scalar loss.
 
     Every tensor with ``requires_grad`` that contributed to ``loss``
-    receives (accumulates) its gradient. The tape is then consumed.
+    receives (accumulates) its gradient. The tape is then consumed: each
+    node, with the arrays its backward holds, is dropped once that has run.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -494,7 +488,8 @@ def backward(loss):
         # Loss is disconnected from any tape (e.g. pure-constant graph).
         return
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, back in reversed(nodes):
+    while nodes:
+        out, inputs, back = nodes.pop()
         if isinstance(out, tuple):
             gs = [o.grad for o in out]
             if all(g is None for g in gs):

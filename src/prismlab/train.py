@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import MetricRecord, RunConfig, is_a
+from .config import MetricRecord, RunConfig, check_int, is_a
 from .errors import ConfigError, NumericError
 from .models import ModelKind, build_model
 from .optim import Adam
@@ -45,6 +45,8 @@ def query_accuracy(logits_data, qpos, targets):
 def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPLES):
     """Held-out evaluation on freshly generated samples. ``seed`` is an
     int or a list of ints, as in ``generate_batch``."""
+    if not is_a(n_samples, numbers.Integral):
+        raise ConfigError(f"evaluation needs an int n_samples, got {n_samples!r}")
     if n_samples < 1:
         raise ConfigError(f"evaluation needs n_samples >= 1, got {n_samples}")
     total_loss = 0.0
@@ -74,9 +76,10 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     """Train one (model, task, seed) cell and return its metric history.
 
     steps=0 evaluates the random initialization. An ``n`` too short for
-    the task's payload, an ``eval_every`` or ``eval_samples`` below 1, or a
-    ``seed`` that is not an int >= 0 raises ConfigError before the model is
-    built. A non-finite loss aborts with the failing step index.
+    the task's payload, an ``eval_every`` or ``eval_samples`` that is not
+    an int >= 1, or a ``seed`` that is not an int >= 0 raises ConfigError
+    before the model is built. A non-finite loss aborts with the failing
+    step index.
     ``tokens_per_s`` times only the forward pass, the backward pass and the
     update: batch generation and the evaluations behind each snapshot are
     left out.
@@ -88,13 +91,8 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     if cfg.n < need:
         raise ConfigError(f"task {task.value!r} needs n >= {need}, got n = {cfg.n}")
     for name, value in (("eval_every", eval_every), ("eval_samples", eval_samples)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    if not is_a(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an int, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    seed = int(seed)
+        check_int(name, value, 1)
+    seed = check_int("seed", seed, 0)
     dtype = cfg.dtype()
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)

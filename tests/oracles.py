@@ -176,29 +176,31 @@ def compose_transitions(pair_a: TransitionPair, pair_b: TransitionPair) -> Trans
                           b=pair_a.b @ pair_b.a + pair_b.b)
 
 
-def dense_transitions(terms: StepTerms, cs):
+def dense_transitions(terms: StepTerms, cols):
     """Dense per-step (A, B) arrays, shape (B, N, d, d) each.
 
     The injection B_t = sum_l c_l (x) k_l is formed here only: the package
-    carries it as the L factor pairs (``cs``, ``terms.k``).
+    carries it as its factors, the (B, N, L, d) stacks ``cols`` and
+    ``terms.k``.
     """
-    k = terms.k[0].data
+    keys, cols = terms.k.data, cols.data
+    k = keys[..., 0, :]
     kk = k[..., :, None] * k[..., None, :]
     eye = np.eye(k.shape[-1], dtype=k.dtype)
-    a = terms.alpha.data[..., None, None] * (eye - terms.beta[0].data[..., None, None] * kk)
+    a = terms.alpha.data[..., None, None] * (eye - terms.beta.data[..., 0, None, None] * kk)
     b = np.zeros_like(a)
-    for c, k_l in zip(cs, terms.k):
-        b += c.data[..., :, None] * k_l.data[..., None, :]
+    for l in range(keys.shape[-2]):
+        b += cols[..., l, :, None] * keys[..., l, None, :]
     return a, b
 
 
-def build_transition(terms: StepTerms, cs, batch=0, t=0) -> TransitionPair:
+def build_transition(terms: StepTerms, cols, batch=0, t=0) -> TransitionPair:
     """Materialize the transition pair of step ``t``."""
-    _, b = dense_transitions(terms, cs)
+    _, b = dense_transitions(terms, cols)
     return TransitionPair.from_structured(
         alpha=float(terms.alpha.data[batch, t]),
-        beta=float(terms.beta[0].data[batch, t]),
-        k=terms.k[0].data[batch, t],
+        beta=float(terms.beta.data[batch, t, 0]),
+        k=terms.k.data[batch, t, 0],
         b=b[batch, t],
     )
 
@@ -347,20 +349,19 @@ def assert_same_bits(got, want):
 # scan equivalence
 # --------------------------------------------------------------------------
 
-def run_scan(scan, a, L):
-    """``scan`` on the tensors ``a`` by name: alpha, beta1, q, k0.., c0..
-    and an optional start state s0, either (B, d, d) or one (d, d) state
-    broadcast over the batch by a taped add (zeros when absent). Returns
-    (out, s_n)."""
+def run_scan(scan, a):
+    """``scan`` on the tensors ``a`` by name: alpha, beta1, q, the
+    (B, N, L, d) key and column stacks k and c, and an optional start
+    state s0, either (B, d, d) or one (d, d) state broadcast over the
+    batch by a taped add (zeros when absent). Returns (out, s_n)."""
     bsz, _, d = a["q"].shape
     s0 = T.zeros((bsz, d, d))
     if "s0" in a:
         s0 = a["s0"] + s0
-    return scan(a["alpha"], a["beta1"], [a[f"k{l}"] for l in range(L)],
-                [a[f"c{l}"] for l in range(L)], a["q"], s0)
+    return scan(a["alpha"], a["beta1"], a["k"], a["c"], a["q"], s0)
 
 
-def assert_chunked_scan_matches_serial(arrays, L, chunk):
+def assert_chunked_scan_matches_serial(arrays, chunk):
     """``chunked_scan``'s readouts, end state and the gradients of a fixed
     linear loss with respect to every array of ``run_scan``'s inputs, s0's
     included, equal ``scan_core``'s to 1e-10 (float64)."""
@@ -371,7 +372,7 @@ def assert_chunked_scan_matches_serial(arrays, L, chunk):
     runs = []
     for scan in (scan_core, lambda *args: chunked_scan(*args, chunk=chunk)):
         ts = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
-        out, s_n = run_scan(scan, ts, L)
+        out, s_n = run_scan(scan, ts)
         T.backward((out * w_out).sum() + (s_n * w_sn).sum())
         runs.append({"out": out.data, "s_n": s_n.data,
                      **{name: t.grad for name, t in ts.items()}})

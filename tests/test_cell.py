@@ -59,17 +59,18 @@ def naive_prism_rollout(x, params, cfg):
     y = np.zeros((n, d))
     for t in range(n):
         ut = u[t]
-        alpha = _sigmoid(ut @ params.w_alpha.data)
+        alpha = _sigmoid(ut @ params.w_alpha.data[:, 0])
         q = ut @ params.w_q.data
         v = ut @ params.w_v.data
         ks, ps, bs = [], [], []
         for l in range(cfg.L):
-            kl = ut @ params.w_k[l].data
+            block = slice(l * d, (l + 1) * d)
+            kl = ut @ params.w_k.data[:, block]
             if l == 0:
                 kl = kl / max(1.0, float(np.linalg.norm(kl)))
             ks.append(kl)
-            ps.append(ut @ params.w_p[l].data)
-            bs.append(_sigmoid(ut @ params.w_beta[l].data))
+            ps.append(ut @ params.w_p.data[:, block])
+            bs.append(_sigmoid(ut @ params.w_beta.data[:, l]))
         r = v - ut
         b_t = np.zeros((d, d))
         for l in range(cfg.L):
@@ -117,21 +118,22 @@ def test_terms_zero_anchor():
     u = T.Tensor(np.zeros((1, 3, cfg.d)))
     terms = compute_step_terms(u, params, cfg)
     np.testing.assert_array_equal(terms.alpha.data, np.full((1, 3), 0.5))
-    for l in range(cfg.L):
-        np.testing.assert_array_equal(terms.beta[l].data, np.full((1, 3), 0.5))
-        np.testing.assert_array_equal(terms.k[l].data, np.zeros((1, 3, cfg.d)))
-        np.testing.assert_array_equal(terms.p[l].data, np.zeros((1, 3, cfg.d)))
+    np.testing.assert_array_equal(terms.beta.data, np.full((1, 3, cfg.L), 0.5))
+    np.testing.assert_array_equal(terms.k.data, np.zeros((1, 3, cfg.L, cfg.d)))
+    np.testing.assert_array_equal(terms.p.data, np.zeros((1, 3, cfg.L, cfg.d)))
     np.testing.assert_array_equal(terms.q.data, np.zeros((1, 3, cfg.d)))
     np.testing.assert_array_equal(terms.v.data, np.zeros((1, 3, cfg.d)))
 
 
 def test_normalize_k_projects_onto_ball():
+    # Only the forget key, pair 0 of the (..., L, d) stack, is rescaled.
     rng = np.random.default_rng(2)
-    k = rng.standard_normal((4, 6)) * 10.0
+    k = rng.standard_normal((4, 2, 6)) * 10.0
     out = scale_into_unit_ball(T.Tensor(k)).data
-    norms = np.linalg.norm(out, axis=-1)
+    norms = np.linalg.norm(out[:, 0], axis=-1)
     np.testing.assert_allclose(norms, np.ones(4), rtol=1e-12)
-    small = rng.standard_normal((4, 6)) * 0.01
+    np.testing.assert_array_equal(out[:, 1], k[:, 1])
+    small = rng.standard_normal((4, 2, 6)) * 0.01
     np.testing.assert_array_equal(scale_into_unit_ball(T.Tensor(small)).data, small)
 
 
@@ -142,124 +144,161 @@ def test_terms_match_per_formula_oracle():
     for t in range(4):
         ut = u[0, t]
         np.testing.assert_allclose(terms.alpha.data[0, t],
-                                   _sigmoid(ut @ params.w_alpha.data), rtol=1e-12)
+                                   _sigmoid(ut @ params.w_alpha.data[:, 0]), rtol=1e-12)
         np.testing.assert_allclose(terms.q.data[0, t], ut @ params.w_q.data, rtol=1e-12)
         np.testing.assert_allclose(terms.v.data[0, t], ut @ params.w_v.data, rtol=1e-12)
         for l in range(cfg.L):
-            kl = ut @ params.w_k[l].data
+            block = slice(l * cfg.d, (l + 1) * cfg.d)
+            kl = ut @ params.w_k.data[:, block]
             if l == 0:
                 kl = kl / max(1.0, float(np.linalg.norm(kl)))
-            np.testing.assert_allclose(terms.k[l].data[0, t], kl, rtol=1e-12)
-            np.testing.assert_allclose(terms.p[l].data[0, t],
-                                       ut @ params.w_p[l].data, rtol=1e-12)
-            np.testing.assert_allclose(terms.beta[l].data[0, t],
-                                       _sigmoid(ut @ params.w_beta[l].data), rtol=1e-12)
+            np.testing.assert_allclose(terms.k.data[0, t, l], kl, rtol=1e-12)
+            np.testing.assert_allclose(terms.p.data[0, t, l],
+                                       ut @ params.w_p.data[:, block], rtol=1e-12)
+            np.testing.assert_allclose(terms.beta.data[0, t, l],
+                                       _sigmoid(ut @ params.w_beta.data[:, l]), rtol=1e-12)
+
+
+def test_prism_stacked_init_draws_per_pair_order():
+    cfg = PrismConfig(d=5, L=3, w=2)
+    p = PrismParams.init(np.random.default_rng(3), cfg)
+    rng = np.random.default_rng(3)
+    sd = 1.0 / np.sqrt(cfg.d)
+    rng.standard_normal((cfg.w, cfg.d))  # the conv kernel
+    assert p.w_k.shape == p.w_p.shape == (cfg.d, cfg.L * cfg.d)
+    for stacked in (p.w_q, p.w_v, p.w_k, p.w_p, p.w_o):
+        blocks = [rng.standard_normal((cfg.d, cfg.d)) * sd
+                  for _ in range(stacked.shape[1] // cfg.d)]
+        np.testing.assert_array_equal(stacked.data, np.concatenate(blocks, axis=1))
+    np.testing.assert_array_equal(p.w_alpha.data, np.zeros((cfg.d, 1)))
+    np.testing.assert_array_equal(p.w_beta.data, np.zeros((cfg.d, cfg.L)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_terms_equal_per_pair_products(dtype):
+    # One product per projection gives, bit for bit, the product of each
+    # pair's column block.
+    cfg, params, rng = make({"d": 6, "L": 3}, seed=29, dtype=dtype)
+    u = rng.standard_normal((2, 7, cfg.d)).astype(dtype)
+    terms = compute_step_terms(T.Tensor(u), params, cfg)
+    assert terms.k.shape == terms.p.shape == (2, 7, cfg.L, cfg.d)
+    assert terms.beta.shape == (2, 7, cfg.L)
+    for l in range(cfg.L):
+        block = slice(l * cfg.d, (l + 1) * cfg.d)
+        k = u @ np.ascontiguousarray(params.w_k.data[:, block])
+        if l == 0:
+            n = np.sqrt((k * k).sum(axis=-1, keepdims=True))
+            k = k * np.where(n > 1.0, 1.0 / np.maximum(n, 1e-300), 1.0)
+        assert_same_bits(terms.k.data[:, :, l], k)
+        assert_same_bits(terms.p.data[:, :, l],
+                         u @ np.ascontiguousarray(params.w_p.data[:, block]))
+        beta = T.sigmoid_fn(u @ np.ascontiguousarray(params.w_beta.data[:, l:l + 1]))
+        assert_same_bits(terms.beta.data[:, :, l], beta[..., 0])
 
 
 def test_scale_into_unit_ball_gradient():
     rng = np.random.default_rng(4)
     for scale in (0.3, 3.0):
-        x = T.Tensor(rng.standard_normal((3, 5)) * scale, requires_grad=True)
-        w = T.Tensor(rng.standard_normal((3, 5)))
+        x = T.Tensor(rng.standard_normal((3, 2, 5)) * scale, requires_grad=True)
+        w = T.Tensor(rng.standard_normal((3, 2, 5)))
         err = grad_check(lambda t: (scale_into_unit_ball(t) * w).sum(), x)
         assert err < 1e-4
 
 
 # ---------------------------------------------------------------- rank accumulate
 
+def _stacked(draw, count=2):
+    """``count`` per-pair arrays, drawn in turn, stacked on the pair axis."""
+    return np.stack([draw() for _ in range(count)], axis=2)
+
+
 def _terms_from_arrays(k, p, beta, u, v):
+    """Step terms of stacked k, p (B, N, L, d), beta (B, N, L) and u, v
+    (B, N, d), each an array or a tensor."""
     def wrap(a):
         return a if isinstance(a, Tensor) else T.Tensor(a)
 
-    u, v = wrap(u), wrap(v)
-    t = StepTerms(u=u, q=T.Tensor(np.zeros(u.shape)), v=v,
-                  alpha=T.Tensor(np.full(u.shape[:-1], 0.5)))
-    for l in range(len(k)):
-        t.k.append(wrap(k[l]))
-        t.p.append(wrap(p[l]))
-        t.beta.append(wrap(beta[l]))
-    return t
+    u = wrap(u)
+    return StepTerms(u=u, q=T.Tensor(np.zeros(u.shape)), v=wrap(v),
+                     alpha=T.Tensor(np.full(u.shape[:-1], 0.5)),
+                     k=wrap(k), p=wrap(p), beta=wrap(beta))
 
 
 def test_rank_accumulate_zero_predictor():
-    cfg = PrismConfig(d=4, L=2)
     rng = np.random.default_rng(5)
     shape = (1, 3, 4)
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
-    k = [rng.standard_normal(shape) for _ in range(2)]
-    p = [np.zeros(shape) for _ in range(2)]
-    beta = [np.full(shape[:2], 0.7) for _ in range(2)]
+    k = _stacked(lambda: rng.standard_normal(shape))
+    p = np.zeros((1, 3, 2, 4))
+    beta = np.full((1, 3, 2), 0.7)
     terms = _terms_from_arrays(k, p, beta, u, v)
-    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-    for c in cs:
-        np.testing.assert_array_equal(c.data, np.zeros(shape))
-    np.testing.assert_array_equal(dense_transitions(terms, cs)[1],
+    cols, res = rank_accumulate(terms)
+    np.testing.assert_array_equal(cols.data, np.zeros((1, 3, 2, 4)))
+    np.testing.assert_array_equal(dense_transitions(terms, cols)[1],
                                   np.zeros(shape[:2] + (4, 4)))
-    for r in res:
-        np.testing.assert_array_equal(r.data, v - u)
+    for l in range(3):
+        np.testing.assert_array_equal(res.data[l], v - u)
 
 
 def test_rank_accumulate_asymptotic_linearity():
     # With large positive p*r, gelu behaves like identity, so the L=1
     # injection approaches beta * outer(p * r, k).
-    cfg = PrismConfig(d=3, L=1)
     u = np.zeros((1, 1, 3))
     v = np.array([[[4.0, 5.0, 6.0]]])
-    p = [np.array([[[30.0, 30.0, 30.0]]])]
-    k = [np.array([[[1.0, -1.0, 0.5]]])]
-    beta = [np.array([[0.25]])]
+    p = np.array([[[[30.0, 30.0, 30.0]]]])
+    k = np.array([[[[1.0, -1.0, 0.5]]]])
+    beta = np.array([[[0.25]]])
     terms = _terms_from_arrays(k, p, beta, u, v)
-    cs, _ = rank_accumulate(terms, terms.v, terms.u, cfg)
-    np.testing.assert_allclose(cs[0].data[0, 0], 0.25 * p[0][0, 0] * v[0, 0], rtol=1e-9)
-    want = 0.25 * np.outer(p[0][0, 0] * v[0, 0], k[0][0, 0])
-    np.testing.assert_allclose(dense_transitions(terms, cs)[1][0, 0], want, rtol=1e-9)
+    cols, _ = rank_accumulate(terms)
+    np.testing.assert_allclose(cols.data[0, 0, 0], 0.25 * p[0, 0, 0] * v[0, 0], rtol=1e-9)
+    want = 0.25 * np.outer(p[0, 0, 0] * v[0, 0], k[0, 0, 0])
+    np.testing.assert_allclose(dense_transitions(terms, cols)[1][0, 0], want, rtol=1e-9)
 
 
 def test_rank_accumulate_scalar_loop_oracle():
-    cfg = PrismConfig(d=4, L=2)
     rng = np.random.default_rng(6)
     shape = (1, 2, 4)
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
-    k = [rng.standard_normal(shape) for _ in range(2)]
-    p = [rng.standard_normal(shape) for _ in range(2)]
-    beta = [rng.uniform(0.1, 0.9, shape[:2]) for _ in range(2)]
+    k = _stacked(lambda: rng.standard_normal(shape))
+    p = _stacked(lambda: rng.standard_normal(shape))
+    beta = _stacked(lambda: rng.uniform(0.1, 0.9, shape[:2]))
     terms = _terms_from_arrays(k, p, beta, u, v)
-    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-    _, b_dense = dense_transitions(terms, cs)
+    cols, res = rank_accumulate(terms)
+    _, b_dense = dense_transitions(terms, cols)
     for t in range(2):
         r = v[0, t] - u[0, t]
         want_b = np.zeros((4, 4))
         got_b = np.zeros((4, 4))
         for l in range(2):
-            delta = np.array([_gelu(p[l][0, t, i] * r[i]) for i in range(4)])
+            delta = np.array([_gelu(p[0, t, l, i] * r[i]) for i in range(4)])
             for i in range(4):
                 for j in range(4):
-                    want_b[i, j] += beta[l][0, t] * delta[i] * k[l][0, t, j]
-                    got_b[i, j] += cs[l].data[0, t, i] * k[l][0, t, j]
+                    want_b[i, j] += beta[0, t, l] * delta[i] * k[0, t, l, j]
+                    got_b[i, j] += cols.data[0, t, l, i] * k[0, t, l, j]
             r = r - delta
         np.testing.assert_array_equal(got_b, want_b)
         np.testing.assert_array_equal(b_dense[0, t], want_b)
-        np.testing.assert_array_equal(res[-1].data[0, t], r)
+        np.testing.assert_array_equal(res.data[-1, 0, t], r)
 
 
 def test_rank_accumulate_gradients():
-    cfg = PrismConfig(d=3, L=2)
     rng = np.random.default_rng(7)
     shape = (1, 2, 3)
-    arrays = {name: rng.standard_normal(shape) for name in ("u", "v", "p0", "p1")}
-    arrays.update({name: rng.uniform(0.2, 0.8, shape[:2]) for name in ("b0", "b1")})
-    w = [T.Tensor(rng.standard_normal(shape)) for _ in range(2)]
+    arrays = {name: rng.standard_normal(shape) for name in ("u", "v")}
+    arrays["p"] = _stacked(lambda: rng.standard_normal(shape))
+    arrays["beta"] = _stacked(lambda: rng.uniform(0.2, 0.8, shape[:2]))
+    w = T.Tensor(_stacked(lambda: rng.standard_normal(shape)))
 
     def build_loss(which):
         def f(x):
             vals = {n: T.Tensor(a) for n, a in arrays.items()}
             vals[which] = x
-            terms = _terms_from_arrays([np.zeros(shape)] * 2, [vals["p0"], vals["p1"]],
-                                       [vals["b0"], vals["b1"]], vals["u"], vals["v"])
-            cs, _ = rank_accumulate(terms, terms.v, terms.u, cfg)
-            return (cs[0] * w[0]).sum() + (cs[1] * w[1]).sum()
+            terms = _terms_from_arrays(np.zeros((1, 2, 2, 3)), vals["p"], vals["beta"],
+                                       vals["u"], vals["v"])
+            cols, _ = rank_accumulate(terms)
+            return (cols * w).sum()
         return f
 
     for which in arrays:
@@ -271,27 +310,27 @@ def test_rank_accumulate_residuals_are_untaped():
     cfg, params, rng = make({"d": 4, "L": 2}, seed=43)
     x = T.Tensor(rng.standard_normal((2, 5, 4)))
     terms = compute_step_terms(compute_anchor(x, params), params, cfg)
-    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-    assert all(c.requires_grad for c in cs)
-    assert not any(r.requires_grad for r in res)
-    np.testing.assert_array_equal(res[0].data, terms.v.data - terms.u.data)
+    cols, res = rank_accumulate(terms)
+    assert cols.requires_grad
+    assert not res.requires_grad
+    np.testing.assert_array_equal(res.data[0], terms.v.data - terms.u.data)
 
 
 def _rank_inputs(dtype):
     cfg, params, rng = make({"d": 4, "L": 2}, seed=47, dtype=dtype)
     x = T.Tensor(rng.standard_normal((2, 9, 4)), dtype=dtype)
     terms = compute_step_terms(compute_anchor(x, params), params, cfg)
-    g_cs = [rng.standard_normal((2, 9, 4)).astype(dtype) for _ in range(cfg.L)]
-    return cfg, terms, g_cs
+    g_cols = _stacked(lambda: rng.standard_normal((2, 9, 4)).astype(dtype), cfg.L)
+    return terms, g_cols
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rank_accumulate_without_tape_matches_taped(dtype, monkeypatch):
     # Under no_grad the columns and residuals equal the taped call's bit
     # for bit; no node is recorded and GELU' is never formed.
-    cfg, terms, _ = _rank_inputs(dtype)
-    cs, res = rank_accumulate(terms, terms.v, terms.u, cfg)
-    assert all(c.requires_grad for c in cs)
+    terms, _ = _rank_inputs(dtype)
+    cols, res = rank_accumulate(terms)
+    assert cols.requires_grad
 
     def refuse(*args):
         raise AssertionError("GELU' formed without a tape")
@@ -300,35 +339,36 @@ def test_rank_accumulate_without_tape_matches_taped(dtype, monkeypatch):
     monkeypatch.setattr(T, "_record", lambda *node: recorded.append(node))
     monkeypatch.setattr(T, "gelu_slope", refuse)
     with T.no_grad():
-        cs_free, res_free = rank_accumulate(terms, terms.v, terms.u, cfg)
+        cols_free, res_free = rank_accumulate(terms)
     assert recorded == []
-    for want, got in zip(cs + res, cs_free + res_free):
+    for want, got in ((cols, cols_free), (res, res_free)):
         assert not got.requires_grad
         assert_same_bits(got.data, want.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rank_accumulate_backward_runs_from_an_untaped_call(dtype, monkeypatch):
-    # The backward handed to custom_op_multi needs no taping: the
-    # benchmark's traced run replays it on a call whose inputs carry no
-    # gradient, and it must give the taped call's gradients bit for bit.
-    cfg, terms, g_cs = _rank_inputs(dtype)
+    # The backward handed to custom_op needs no taping: the benchmark's
+    # traced run replays it on a call whose inputs carry no gradient, and
+    # it must give the taped call's gradients bit for bit.
+    terms, g_cols = _rank_inputs(dtype)
     backs = []
     monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
-    rank_accumulate(terms, terms.v, terms.u, cfg)
-    want = backs.pop()(*g_cs)
+    rank_accumulate(terms)
+    assert len(backs) == 1
+    want = backs.pop()(g_cols)
 
-    def untaped(out_datas, inputs, back):
+    def untaped(out_data, inputs, back):
         backs.append(back)
-        return tuple(Tensor(d) for d in out_datas)
+        return Tensor(out_data)
 
-    monkeypatch.setattr(T, "custom_op_multi", untaped)
+    monkeypatch.setattr(T, "custom_op", untaped)
     bare = StepTerms(u=Tensor(terms.u.data), q=terms.q, v=Tensor(terms.v.data),
-                     alpha=terms.alpha, p=[Tensor(p.data) for p in terms.p],
-                     beta=[Tensor(b.data) for b in terms.beta])
-    rank_accumulate(bare, bare.v, bare.u, cfg)
-    got = backs.pop()(*g_cs)
-    assert len(got) == len(want) == 2 + 2 * cfg.L
+                     alpha=terms.alpha, k=terms.k, p=Tensor(terms.p.data),
+                     beta=Tensor(terms.beta.data))
+    rank_accumulate(bare)
+    got = backs.pop()(g_cols)
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert_same_bits(g, w)
 
@@ -397,18 +437,20 @@ def test_scan_core_frozen_state():
     rng = np.random.default_rng(12)
     bsz, n, d = 2, 6, 4
     s0 = T.Tensor(rng.standard_normal((bsz, d, d)))
-    ks = [T.Tensor(rng.standard_normal((bsz, n, d))) for _ in range(2)]
-    cs = [T.Tensor(np.zeros((bsz, n, d))) for _ in range(2)]
+    k = T.Tensor(_stacked(lambda: rng.standard_normal((bsz, n, d))))
+    cols = T.Tensor(np.zeros((bsz, n, 2, d)))
     out, s_n = scan_core(T.Tensor(np.ones((bsz, n))), T.Tensor(np.zeros((bsz, n))),
-                         ks, cs, T.Tensor(rng.standard_normal((bsz, n, d))), s0)
+                         k, cols, T.Tensor(rng.standard_normal((bsz, n, d))), s0)
     np.testing.assert_array_equal(s_n.data, s0.data)
 
 
 def test_scan_core_rejects_unpaired_factors():
-    z = T.Tensor(np.zeros((1, 3, 2)))
-    with pytest.raises(ShapeError, match="2 injection keys for 1 columns"):
-        scan_core(T.Tensor(np.ones((1, 3))), T.Tensor(np.zeros((1, 3))), [z, z], [z],
-                  z, T.Tensor(np.zeros((1, 2, 2))))
+    k, cols = T.Tensor(np.zeros((1, 3, 2, 2))), T.Tensor(np.zeros((1, 3, 1, 2)))
+    args = (T.Tensor(np.ones((1, 3))), T.Tensor(np.zeros((1, 3))), k, cols,
+            T.Tensor(np.zeros((1, 3, 2))), T.Tensor(np.zeros((1, 2, 2))))
+    for scan in (scan_core, lambda *a: chunked_scan(*a, chunk=2)):
+        with pytest.raises(ShapeError, match=r"keys \(1, 3, 2, 2\) and columns \(1, 3, 1, 2\)"):
+            scan(*args)
 
 
 def _scan_arrays(rng, bsz, n, d, L):
@@ -416,9 +458,10 @@ def _scan_arrays(rng, bsz, n, d, L):
               "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
               "q": rng.standard_normal((bsz, n, d)),
               "s0": rng.standard_normal((bsz, d, d))}
-    for l in range(L):
-        arrays[f"k{l}"] = rng.standard_normal((bsz, n, d)) * 0.5
-        arrays[f"c{l}"] = rng.standard_normal((bsz, n, d))
+    # Drawn pair by pair, then stacked on the pair axis.
+    draws = [(rng.standard_normal((bsz, n, d)) * 0.5, rng.standard_normal((bsz, n, d)))
+             for _ in range(L)]
+    arrays["k"], arrays["c"] = (np.stack(a, axis=2) for a in zip(*draws))
     return arrays
 
 
@@ -433,8 +476,7 @@ def test_scan_core_gradients_every_input():
         def f(x):
             a = {name: T.Tensor(v) for name, v in arrays.items()}
             a[which] = x
-            out, s_n = scan_core(a["alpha"], a["beta1"], [a["k0"], a["k1"]],
-                                 [a["c0"], a["c1"]], a["q"], a["s0"])
+            out, s_n = scan_core(a["alpha"], a["beta1"], a["k"], a["c"], a["q"], a["s0"])
             return (out * w_out).sum() + (s_n * w_sn).sum()
         return f
 
@@ -464,7 +506,7 @@ def _taped_shapes(monkeypatch, forward, cfg, params, x):
         p.grad = None
     y, _ = forward(T.Tensor(x), params, cfg)
     T.backward((y * y).sum())
-    assert params.w_p[1].grad is not None
+    assert params.w_p.grad[:, cfg.d:].any()  # the second pair's block
     return seen
 
 
@@ -503,13 +545,13 @@ def cell_terms(x, params, cfg):
     """The step terms and the injection columns of the cell on x."""
     u = compute_anchor(x, params)
     terms = compute_step_terms(u, params, cfg)
-    cs, _ = rank_accumulate(terms, terms.v, u, cfg)
-    return terms, cs
+    cols, _ = rank_accumulate(terms)
+    return terms, cols
 
 
-def scan_from(terms, cs, s0):
+def scan_from(terms, cols, s0):
     """scan_core over the cell's terms from the (B, d, d) array s0."""
-    return scan_core(terms.alpha, terms.beta[0], terms.k, cs, terms.q, T.Tensor(s0))
+    return scan_core(terms.alpha, terms.beta[:, :, 0], terms.k, cols, terms.q, T.Tensor(s0))
 
 
 def test_serial_single_step_equals_transition():
@@ -538,8 +580,8 @@ def test_serial_forward_matches_naive_oracle():
 def _nan_scan_inputs(rng, n, d, bad_step):
     alpha = np.ones((1, n))
     beta = np.zeros((1, n))
-    k = rng.standard_normal((1, n, d))
-    c = np.zeros((1, n, d))
+    k = rng.standard_normal((1, n, 1, d))
+    c = np.zeros((1, n, 1, d))
     c[0, bad_step] = np.inf
     return alpha, beta, k, c, rng.standard_normal((1, n, d))
 
@@ -548,7 +590,7 @@ def test_serial_forward_nan_reports_step():
     cfg, params, rng = make({"d": 3, "L": 1}, seed=15)
     alpha, beta, k, c, q = _nan_scan_inputs(rng, 4, 3, 2)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
-        scan_core(T.Tensor(alpha), T.Tensor(beta), [T.Tensor(k)], [T.Tensor(c)],
+        scan_core(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
                   T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))))
     assert exc.value.step == 2
 
@@ -559,7 +601,7 @@ def test_chunked_scan_nan_reports_step():
     rng = np.random.default_rng(15)
     alpha, beta, k, c, q = _nan_scan_inputs(rng, 10, 3, 6)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
-        chunked_scan(T.Tensor(alpha), T.Tensor(beta), [T.Tensor(k)], [T.Tensor(c)],
+        chunked_scan(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
                      T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))), chunk=4)
     assert exc.value.step == 6
 
@@ -570,12 +612,11 @@ def test_chunked_scan_state_overflow_reports_chunk_end():
     # reported. The serial oracle, which checks the state, reports step 5.
     n, d = 8, 2
     alpha, beta, q = np.ones((1, n)), np.zeros((1, n)), np.zeros((1, n, d))
-    ks = [np.zeros((1, n, d)), np.zeros((1, n, d))]
-    cs = [np.zeros((1, n, d)), np.zeros((1, n, d))]
-    ks[1][0, 5, 0] = cs[1][0, 5, 0] = 1e200
+    k, cols = np.zeros((1, n, 2, d)), np.zeros((1, n, 2, d))
+    k[0, 5, 1, 0] = cols[0, 5, 1, 0] = 1e200
     q[0, :, 0] = 1e-200
-    args = [T.Tensor(alpha), T.Tensor(beta), [T.Tensor(a) for a in ks],
-            [T.Tensor(a) for a in cs], T.Tensor(q), T.Tensor(np.zeros((1, d, d)))]
+    args = [T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(cols), T.Tensor(q),
+            T.Tensor(np.zeros((1, d, d)))]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as exc:
             chunked_scan(*args, chunk=4)
@@ -591,7 +632,7 @@ def test_chunked_scan_alpha_zero_matches_serial():
     arrays = _scan_arrays(np.random.default_rng(47), 2, 10, 3, 2)
     arrays["alpha"][:, 5] = 0.0       # inside a chunk
     arrays["alpha"][0, 8] = 0.0       # at a chunk start
-    assert_chunked_scan_matches_serial(arrays, 2, chunk=4)
+    assert_chunked_scan_matches_serial(arrays, chunk=4)
 
 
 def test_chunked_scan_unit_erase_matches_serial():
@@ -601,10 +642,10 @@ def test_chunked_scan_unit_erase_matches_serial():
     rng = np.random.default_rng(48)
     arrays = _scan_arrays(rng, 2, 16, 4, 2)
     k1 = rng.standard_normal(4) + 0.05 * rng.standard_normal((2, 16, 4))
-    arrays["k0"] = k1 / np.linalg.norm(k1, axis=-1, keepdims=True)
+    arrays["k"][:, :, 0] = k1 / np.linalg.norm(k1, axis=-1, keepdims=True)
     arrays["beta1"][:] = 1.0
     arrays["alpha"][:] = rng.uniform(0.95, 1.0, (2, 16))
-    assert_chunked_scan_matches_serial(arrays, 2, chunk=8)
+    assert_chunked_scan_matches_serial(arrays, chunk=8)
 
 
 def test_config_validation():
@@ -612,6 +653,13 @@ def test_config_validation():
         PrismConfig(d=0)
     with pytest.raises(ConfigError):
         PrismConfig(w=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"L": 1.5}, {"L": True}, {"d": "4"}],
+                         ids=["float", "bool", "str"])
+def test_non_integer_config_raises_config_error(kwargs):
+    with pytest.raises(ConfigError, match="must be an int, got"):
+        PrismConfig(**kwargs)
 
 
 # ---------------------------------------------------------------- chunked scan
@@ -667,15 +715,15 @@ def test_float32_scan_keeps_float32(scan, monkeypatch):
         return T.Tensor(np.asarray(a, dtype=np.float32), requires_grad=True)
 
     args = (f32(rng.uniform(0.3, 1.0, (bsz, n))), f32(rng.uniform(0.1, 0.9, (bsz, n))),
-            [f32(rng.standard_normal((bsz, n, d)) * 0.5) for _ in range(L)],
-            [f32(rng.standard_normal((bsz, n, d))) for _ in range(L)],
+            f32(_stacked(lambda: rng.standard_normal((bsz, n, d)) * 0.5, L)),
+            f32(_stacked(lambda: rng.standard_normal((bsz, n, d)), L)),
             f32(rng.standard_normal((bsz, n, d))), f32(rng.standard_normal((bsz, d, d))))
     backs = []
     monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
     out, s_n = scan(*args)
     assert out.dtype == s_n.dtype == np.float32
     grads = backs.pop()(np.ones_like(out.data), np.ones_like(s_n.data))
-    assert len(grads) == 4 + 2 * L
+    assert len(grads) == len(args)
     assert [g.dtype for g in grads] == [np.float32] * len(grads)
 
 
@@ -699,8 +747,8 @@ def test_chunked_scan_returns_no_subnormal_gradients(monkeypatch):
         return T.Tensor(np.asarray(a, dtype=np.float32), requires_grad=True)
 
     args = (f32(np.full((bsz, n), 0.5)), f32(np.zeros((bsz, n))),
-            [f32(rng.standard_normal((bsz, n, d)) * 0.5) for _ in range(L)],
-            [f32(rng.standard_normal((bsz, n, d))) for _ in range(L)],
+            f32(_stacked(lambda: rng.standard_normal((bsz, n, d)) * 0.5, L)),
+            f32(_stacked(lambda: rng.standard_normal((bsz, n, d)), L)),
             f32(rng.standard_normal((bsz, n, d))), f32(rng.standard_normal((bsz, d, d))))
     g_out = np.zeros((bsz, n, d), dtype=np.float32)
     g_out[:, -1] = rng.standard_normal((bsz, d))

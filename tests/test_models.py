@@ -500,6 +500,27 @@ def test_load_state_dict_rejects_per_expert_mom_layout():
         model.load_state_dict({f"p{i}": a for i, a in enumerate(arrays)})
 
 
+def test_load_state_dict_rejects_per_pair_prism_layout():
+    # The layout before the L pairs were stacked: w_alpha (d,), and one
+    # (d, d) w_k and w_p block and one (d,) w_beta column per pair.
+    model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, L=2, seed=5)
+    old = {}
+    for prism in (blk.prism for blk in model.blocks):
+        old[id(prism.w_alpha)] = [prism.w_alpha.data[:, 0]]
+        old[id(prism.w_k)] = np.split(prism.w_k.data, 2, axis=1)
+        old[id(prism.w_p)] = np.split(prism.w_p.data, 2, axis=1)
+        old[id(prism.w_beta)] = list(prism.w_beta.data.T)
+    arrays = [a for p in model.params() for a in old.get(id(p), [p.data])]
+    with pytest.raises(ShapeError):
+        model.load_state_dict({f"p{i}": a for i, a in enumerate(arrays)})
+
+
+@pytest.mark.parametrize("kind", [ModelKind.PRISM, ModelKind.LINEAR_ATTENTION])
+def test_non_integer_size_raises_config_error(kind):
+    with pytest.raises(ConfigError, match="model d must be an int, got 2.0"):
+        build_model(kind, d=2.0)
+
+
 @pytest.mark.parametrize("block", [0, 1])
 def test_numeric_error_names_block_and_step(block):
     model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=7)

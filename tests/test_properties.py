@@ -135,7 +135,7 @@ def test_serial_equals_chunked_gradients_cases(n, chunk, s0_kind):
         _assert_gradients_agree(*_cell(np.random.default_rng(n), cfg, 2, n, np.float64))
     else:
         arrays = _scan_arrays(np.random.default_rng(n), 2, n, 3, 2, s0_kind)
-        assert_chunked_scan_matches_serial(arrays, 2, chunk)
+        assert_chunked_scan_matches_serial(arrays, chunk)
 
 
 @PROPERTY
@@ -167,17 +167,17 @@ def test_rank_accumulate_gradients(bsz, n, d, L, seed):
     rng = np.random.default_rng(seed)
     arrays = {"u": rng.standard_normal((bsz, n, d)),
               "v": rng.standard_normal((bsz, n, d))}
-    for l in range(L):
-        arrays[f"p{l}"] = rng.standard_normal((bsz, n, d))
-        arrays[f"beta{l}"] = rng.uniform(0.1, 0.9, (bsz, n))
-    weights = [T.Tensor(rng.standard_normal((bsz, n, d))) for _ in range(L)]
+    # Drawn pair by pair, then stacked on the pair axis.
+    draws = [(rng.standard_normal((bsz, n, d)), rng.uniform(0.1, 0.9, (bsz, n)))
+             for _ in range(L)]
+    arrays["p"], arrays["beta"] = (np.stack(a, axis=2) for a in zip(*draws))
+    weights = T.Tensor(np.stack([rng.standard_normal((bsz, n, d)) for _ in range(L)], axis=2))
 
     def loss(a):
-        terms = StepTerms(u=a["u"], q=None, v=a["v"], alpha=None,
-                          p=[a[f"p{l}"] for l in range(L)],
-                          beta=[a[f"beta{l}"] for l in range(L)])
-        cs, _ = rank_accumulate(terms, terms.v, terms.u, PrismConfig(d=d, L=L))
-        return sum((c * w).sum() for c, w in zip(cs, weights))
+        terms = StepTerms(u=a["u"], q=None, v=a["v"], alpha=None, k=None,
+                          p=a["p"], beta=a["beta"])
+        cols, _ = rank_accumulate(terms)
+        return (cols * weights).sum()
 
     _grad_check_all(loss, arrays)
 
@@ -191,9 +191,10 @@ def _scan_arrays(rng, bsz, n, d, L, s0_kind):
     if s0_kind != "none":
         shape = (d, d) if s0_kind == "shared" else (bsz, d, d)
         arrays["s0"] = rng.standard_normal(shape)
-    for l in range(L):
-        arrays[f"k{l}"] = rng.standard_normal((bsz, n, d)) * 0.5
-        arrays[f"c{l}"] = rng.standard_normal((bsz, n, d))
+    # Drawn pair by pair, then stacked on the pair axis.
+    draws = [(rng.standard_normal((bsz, n, d)) * 0.5, rng.standard_normal((bsz, n, d)))
+             for _ in range(L)]
+    arrays["k"], arrays["c"] = (np.stack(a, axis=2) for a in zip(*draws))
     return arrays
 
 
@@ -204,7 +205,7 @@ def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
     w_sn = T.Tensor(rng.standard_normal((bsz, d, d)))
 
     def loss(a):
-        out, s_n = run_scan(scan, a, L)
+        out, s_n = run_scan(scan, a)
         return (out * w_out).sum() + (s_n * w_sn).sum()
 
     _grad_check_all(loss, arrays)
@@ -216,7 +217,7 @@ def _check_scan_gradients(scan, bsz, n, d, L, s0_kind, seed):
 def test_scan_core_equals_chunked_scan_from_random_state(bsz, n, d, L, chunk, s0_kind,
                                                          seed):
     arrays = _scan_arrays(np.random.default_rng(seed), bsz, n, d, L, s0_kind)
-    assert_chunked_scan_matches_serial(arrays, L, chunk)
+    assert_chunked_scan_matches_serial(arrays, chunk)
 
 
 @PROPERTY

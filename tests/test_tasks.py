@@ -227,6 +227,19 @@ def test_generate_batch_shapes():
     assert tgt.shape == (5, KV_PAIRS)
 
 
+@pytest.mark.parametrize("kwargs", [{"n": 8.5}, {"v": 64.0}, {"n": True}],
+                         ids=["float-n", "float-v", "bool-n"])
+def test_non_integer_task_config_raises_config_error(kwargs):
+    with pytest.raises(ConfigError, match="must be an int"):
+        TaskConfig(**kwargs)
+
+
+@pytest.mark.parametrize("batch", [-1, 2.0])
+def test_bad_batch_size_raises_config_error(batch):
+    with pytest.raises(ConfigError, match="batch must be"):
+        generate_batch(TaskKind.MQAR, cfg64(), batch, seed=0)
+
+
 def test_payload_overflow_raises():
     with pytest.raises(DataError):
         generate_sample(TaskKind.MQAR, TaskConfig(n=12, v=64))

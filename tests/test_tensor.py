@@ -2,6 +2,7 @@
 gradients against central differences."""
 
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -54,6 +55,11 @@ def test_matmul_shape_mismatch():
 def test_matmul_refuses_a_vector_left_operand():
     with pytest.raises(ShapeError, match="left operand of 2 or more dims"):
         T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
+
+
+def test_matmul_refuses_a_vector_right_operand():
+    with pytest.raises(ShapeError, match="a right one likewise"):
+        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones(3)))
 
 
 def test_matmul_dtype_mismatch():
@@ -295,6 +301,29 @@ def test_backward_graph_consumed_once():
     T.backward(loss)
     with pytest.raises(UsageError):
         T.backward(loss)
+
+
+def test_backward_drops_each_node_once_its_backward_has_run():
+    # What a later node's backward holds is freed before any earlier
+    # node's backward runs, not when the whole sweep returns.
+    class Saved:
+        pass
+
+    seen = []
+
+    def first_back(g):
+        seen.append(ref())
+        return (g * 2.0,)
+
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    first = T.custom_op(x.data * 2.0, (x,), first_back)
+    saved = Saved()
+    ref = weakref.ref(saved)
+    second = T.custom_op(first.data + 1.0, (first,), lambda g, saved=saved: (g,))
+    del saved
+    T.backward(second.sum())
+    assert seen == [None]
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_gradient_accumulates_across_uses():

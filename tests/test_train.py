@@ -43,6 +43,22 @@ def test_eval_argument_below_one_raises_before_any_work(monkeypatch, arg):
         train.run_training(small(model="la"), 1, **{arg: 0})
 
 
+@pytest.mark.parametrize("arg", ["eval_every", "eval_samples"])
+def test_non_integer_eval_argument_raises_before_any_work(monkeypatch, arg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the argument check")
+
+    monkeypatch.setattr(train, "build_model", refuse)
+    with pytest.raises(ConfigError, match=f"{arg} must be an int, got 2.5"):
+        train.run_training(small(model="la"), 1, **{arg: 2.5})
+
+
+def test_evaluate_needs_an_int_sample_count():
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
+    with pytest.raises(ConfigError, match="an int n_samples, got 2.5"):
+        train.evaluate(model, TaskKind.MQAR, TaskConfig(n=32), seed=[1], n_samples=2.5)
+
+
 def test_evaluate_needs_a_sample():
     model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
     tcfg = TaskConfig(n=32)
