@@ -293,7 +293,7 @@ def _unit_lower_inverse(m):
     return inv
 
 
-def _flush_subnormals(g):
+def flush_subnormals(g):
     """Zero, in place, every subnormal value of g (0 < |g| < tiny). Other
     values, signed zeros included, keep their bits."""
     g *= np.abs(g) >= np.finfo(g.dtype).tiny
@@ -495,7 +495,7 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
         for j in range(n_ch - 1, -1, -1):
             g_end[:, j] = grad
             grad = grad @ _swap(ch.a_ch[:, j]) + g_bound[:, j]
-        _flush_subnormals(g_end)
+        flush_subnormals(g_end)
 
         # out = diag(gam) Q S0^T + p V
         d_gam = (d_o * (qm @ s_t)).sum(axis=-1)
@@ -544,7 +544,7 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
 
         grads = (unchunk(d_a), unchunk(d_b), pairs(d_k), pairs(d_c), unchunk(d_q), grad)
         for g in grads:
-            _flush_subnormals(g)
+            flush_subnormals(g)
         return grads
 
     return T.custom_op_multi((readout, bounds[:, n_ch]),

@@ -16,6 +16,11 @@ block-boundary states for its backward, which recomputes each block's
 states from its boundary: one (d, d) state per memory every SCAN_BLOCK
 steps instead of every step, for a second pass over the states.
 ``gated_la_scan``, which keeps every state, is its step-by-step oracle.
+With gates near 0.5 its backward halves a state gradient at every step
+back in time, so float32 values pass through the subnormal range, where
+arithmetic is slow, before they reach 0. The backward zeroes subnormals
+where the decay makes them, in the carried state gradient and that block's
+state gradients, and in the four gradients it returns, so none leaves it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cell import PrismBlockParams, PrismConfig, prism_block_forward
+from .cell import PrismBlockParams, PrismConfig, flush_subnormals, prism_block_forward
 from .config import check_int
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .tensor import Tensor
@@ -107,15 +112,24 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
     readouts S_t q_t are returned as (N, M, d). The M memories run together,
     SCAN_BLOCK steps at a time. Between forward and backward only the
     N/SCAN_BLOCK + 1 block-boundary states are kept; the backward
-    recomputes each block's states from its boundary. Raises NumericError
-    whose ``step`` is the first step with a non-finite readout, or, if every
-    readout is finite, the last step of the first block whose end state is
-    not.
+    recomputes each block's states from its boundary. The backward returns
+    no subnormal value: ``cell.flush_subnormals`` zeroes them in the four
+    gradients it returns and, for a block whose state-gradient carry holds
+    any, in that carry and the block's state gradients. A returned gradient
+    thus moves by less than tiny, plus tiny times the sum of the key, value
+    or state entries that multiply the zeroed state gradients.
+
+    Raises NumericError whose ``step`` is the first step with a non-finite
+    readout, or, if every readout is finite, the last step of the first
+    block whose end state is not.
     """
     gd, kd, vd, qd = (t.data for t in (gate, k, v, q))
     if qd.ndim != 3 or any(a.shape != qd.shape for a in (gd, kd, vd)):
         raise ShapeError(f"gated scan needs four equal (N, M, d) inputs, got "
                          f"{[a.shape for a in (gd, kd, vd, qd)]}")
+    if any(a.dtype != qd.dtype for a in (gd, kd, vd)):
+        raise ShapeError(f"gated scan needs four inputs of one dtype, got "
+                         f"{[str(a.dtype) for a in (gd, kd, vd, qd)]}")
     n, m, d = qd.shape
     blocks = [slice(t0, t0 + SCAN_BLOCK) for t0 in range(0, n, SCAN_BLOCK)]
     bounds = np.zeros((len(blocks) + 1, m, d, d), dtype=qd.dtype)
@@ -135,6 +149,7 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
     def back(g_out):
         g_g, g_k, g_v, g_q = (np.empty_like(a) for a in (gd, kd, vd, qd))
         carry = np.zeros((m, d, d), dtype=qd.dtype)  # dL/dS_t * gate_t, from later steps
+        tiny = np.finfo(qd.dtype).tiny
         for j in reversed(range(len(blocks))):
             blk = blocks[j]
             gates = _gate_rows(gd[blk])
@@ -145,10 +160,18 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
             for i in reversed(range(len(gates))):
                 grad_s[i] += carry
                 np.multiply(grad_s[i], gates[i], out=carry)
+            # The decay makes its subnormals in the carry. Zeroing them there
+            # and in the block's state gradients keeps them out of the
+            # products below; a block whose carry holds none skips the pass.
+            if ((carry != 0) & (np.abs(carry) < tiny)).any():
+                flush_subnormals(carry)
+                flush_subnormals(grad_s)
             g_q[blk] = (g_out[blk, :, None, :] @ hist[1:])[:, :, 0]
             g_v[blk] = (grad_s @ kd[blk, :, :, None])[..., 0]
             g_k[blk] = (vd[blk, :, None, :] @ grad_s)[:, :, 0]
             g_g[blk] = np.einsum("tmij,tmij->tmj", grad_s, hist[:-1])
+        for g in (g_g, g_k, g_v, g_q):
+            flush_subnormals(g)
         return g_g, g_k, g_v, g_q
 
     return T.custom_op(out, (gate, k, v, q), back)
@@ -401,11 +424,13 @@ class SequenceModel:
         yield self.head
 
     def forward(self, tokens):
-        """tokens: (B, N) integer ids in [0, vocab) -> logits (B, N, V)."""
+        """tokens: (B, N) integer ids in [0, vocab), N >= 1 -> logits (B, N, V)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (B, N), got {tokens.shape}")
         n = tokens.shape[1]
+        if n < 1:
+            raise ShapeError(f"tokens must hold at least one step, got {tokens.shape}")
         if n > self.n_ctx and self.pos is not None:
             raise ShapeError(f"sequence {n} exceeds context {self.n_ctx}")
         if not np.issubdtype(tokens.dtype, np.integer):

@@ -347,6 +347,47 @@ def test_blocked_gated_scan_rejects_unequal_shapes():
         blocked_gated_scan(*(T.Tensor(np.zeros((1, 3, 2, 4))),) * 4)
 
 
+def test_blocked_gated_scan_rejects_mixed_dtypes():
+    a = T.Tensor(np.zeros((3, 2, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="dtype"):
+        blocked_gated_scan(a, a, a, T.Tensor(np.zeros((3, 2, 4))))
+
+
+def test_blocked_gated_scan_returns_no_subnormal_gradients(monkeypatch):
+    # Gates of 0.5 halve the state gradient at every step back in time, so a
+    # readout gradient at the last step alone reaches the subnormal range
+    # about 126 steps earlier. The blocked backward zeroes those values and
+    # otherwise agrees with gated_la_scan's, which keeps them. A returned
+    # gradient sums d products of a state gradient with a key, value or
+    # state entry; with entries below 1 / d in magnitude, zeroing state
+    # gradients below tiny moves it by less than tiny, and zeroing it by
+    # less than tiny again.
+    rng = np.random.default_rng(50)
+    n, m, d = 300, 2, 4
+    tiny = np.finfo(np.float32).tiny
+    arrays = [np.full((n, m, d), 0.5)] + [rng.uniform(-0.25, 0.25, (n, m, d)) for _ in range(3)]
+    g_out = np.zeros((n, m, d), dtype=np.float32)
+    g_out[-1] = rng.standard_normal((m, d))
+    backs = []
+    monkeypatch.setattr(T, "_record", lambda out, inputs, back: backs.append(back))
+
+    def taped(layout):
+        return [T.Tensor(layout(a).astype(np.float32), requires_grad=True) for a in arrays]
+
+    def by_memory(a):
+        return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+    blocked_gated_scan(*taped(lambda a: a))
+    got = backs.pop()(g_out)
+    gated_la_scan(*taped(by_memory))
+    want = [g.transpose(1, 0, 2) for g in backs.pop()(by_memory(g_out))]
+    assert any(((g != 0) & (np.abs(g) < tiny)).any() for g in want)
+    for i, (w, g) in enumerate(zip(want, got)):
+        assert g.dtype == np.float32, i
+        assert np.count_nonzero((g != 0) & (np.abs(g) < tiny)) == 0, i
+        np.testing.assert_allclose(g, w, rtol=1e-4, atol=2 * tiny, err_msg=str(i))
+
+
 # ---------------------------------------------------------------- attention
 
 def test_attention_rows_sum_to_one():
@@ -422,6 +463,13 @@ def test_prism_param_count_matches_hand_sum():
     block = 2 * 2 * d + prism + (d * 4 * d + 4 * d + 4 * d * d + d)
     want = emb + 2 * block + 2 * d + d * v
     assert sum(p.data.size for p in model.params()) == want
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_empty_sequence_raises_shape_error(kind):
+    model = build_model(kind, d=8, vocab=16, n_ctx=8)
+    with pytest.raises(ShapeError, match="at least one step"):
+        model.forward(np.zeros((2, 0), dtype=np.int64))
 
 
 @pytest.mark.parametrize("tokens", [np.zeros((2, 8)) + 0.5, np.zeros((2, 8), dtype=bool)],
