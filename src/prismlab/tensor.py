@@ -407,26 +407,12 @@ def softmax_cross_entropy(logits, targets):
     return out
 
 
-def _is_basic_index(key):
-    """Whether ``key`` holds only ints, slices, None and Ellipsis, so that
-    it selects every element of the array at most once."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, slice)
-               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-               for k in parts)
-
-
 def take_slice(x, key):
     out = Tensor(x.data[key], requires_grad=_wants_grad(x))
     if out.requires_grad:
-        basic = _is_basic_index(key)
-
         def back(g):
             gx = np.zeros_like(x.data)
-            if basic:
-                gx[key] += g
-            else:  # an index array may repeat an element, as token ids do
-                np.add.at(gx, key, g)
+            np.add.at(gx, key, g)
             return (gx,)
         _record(out, (x,), back)
     return out

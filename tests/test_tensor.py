@@ -326,27 +326,6 @@ def test_backward_drops_each_node_once_its_backward_has_run():
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
-@pytest.mark.parametrize("key", [
-    (slice(None), slice(None), 0), (1,), (Ellipsis, slice(1, 3)), (None, 2, slice(None, None, -1)),
-    np.array([0, 2, 0, 0]), (np.array([[0, 1], [1, 1]]), np.array([[2, 0], [2, 2]])),
-    (slice(None), np.array([True, False, True])), [1, 1]],
-    ids=["beta-column", "int", "ellipsis", "newaxis-reversed", "repeated-ids",
-         "rows-qpos", "mask", "list"])
-def test_take_slice_backward_equals_add_at(key):
-    # Basic keys select every element at most once and skip np.add.at;
-    # index arrays, which may repeat one, keep it. Either way the gradient
-    # has np.add.at's bits, -0.0 of g included.
-    rng = np.random.default_rng(58)
-    x = T.Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
-    out = x[key]
-    g = rng.standard_normal(out.data.shape)
-    g.flat[::3] = -0.0
-    want = np.zeros_like(x.data)
-    np.add.at(want, key, g)
-    T.backward((out * T.Tensor(g)).sum())
-    assert_same_bits(x.grad, want)
-
-
 def test_gradient_accumulates_across_uses():
     x = T.Tensor([2.0], requires_grad=True)
     y = (x * 3.0 + x * x).sum()
