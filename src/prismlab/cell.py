@@ -23,6 +23,14 @@ one fused tape node with a hand-derived backward each:
     ``chunked_scan_forward`` is the same rollout without the tape.
   * ``serial_forward`` steps ``scan_core`` through all N steps. It is the
     oracle the chunked path is tested against, in outputs and gradients.
+    Its forward runs in transition form, S_t = S_{t-1} A_t + C_t K_t with
+    A_t = alpha_t (I - beta1_t k1_t k1_t^T): every C_t K_t comes from one
+    batched product, the A_t are formed a block of steps at a time, and a
+    step is one (d x d) product and one add. The state history is checked
+    for non-finite values in one pass after the loop, which reports the
+    first bad step.
+
+Both scans raise ShapeError for inputs that do not fit together.
 """
 
 from __future__ import annotations
@@ -121,12 +129,14 @@ def compute_anchor(x: Tensor, params: PrismParams) -> Tensor:
 
 def scale_into_unit_ball(k: Tensor) -> Tensor:
     """Rescale the forget key k[..., 0, :] of a (..., L, d) key stack by
-    1 / max(1, ||k[..., 0, :]||_2). The other keys pass unchanged."""
+    1 / max(1, ||k[..., 0, :]||_2). The other keys pass unchanged.
+    ``fmax`` gives a NaN norm scale 1, so a NaN entry does not spread over
+    its row."""
     kd = k.data
     k1 = kd[..., 0, :]
     n = np.sqrt((k1 * k1).sum(axis=-1, keepdims=True))
     big = n > 1.0
-    scale = np.where(big, 1.0 / np.maximum(n, 1e-300), 1.0)
+    scale = 1.0 / np.fmax(n, 1.0)
     out_data = kd.copy()
     out1 = out_data[..., 0, :]
     out1 *= scale
@@ -211,6 +221,26 @@ def rank_accumulate(terms: StepTerms):
 # rollouts
 # --------------------------------------------------------------------------
 
+def _check_scan_args(alpha, beta1, k, cols, q, s0):
+    """ShapeError unless the scan inputs fit together: q (B, N, d), alpha
+    and beta1 (B, N), the pair stacks k and cols (B, N, L, d), s0 (B, d, d)."""
+    ks, qs = k.data.shape, q.data.shape
+    if ks != cols.data.shape:
+        raise ShapeError(f"injection keys {ks} and columns {cols.data.shape} differ")
+    if len(qs) != 3:
+        raise ShapeError(f"readout queries q {qs} are not (B, N, d)")
+    bsz, n, d = qs
+    for name, shape, want in (("alpha", alpha.data.shape, (bsz, n)),
+                              ("beta1", beta1.data.shape, (bsz, n)),
+                              ("k", ks, (bsz, n) + ks[2:3] + (d,)),
+                              ("s0", s0.data.shape, (bsz, d, d))):
+        if shape != want:
+            raise ShapeError(f"scan input {name} is {shape}, expected {want} for q {qs}")
+
+
+_BLOCK = 64  # steps whose transitions scan_core forms at once, in one reused buffer
+
+
 def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
               s0: Tensor):
     """Differentiable serial rollout (one fused tape node).
@@ -219,40 +249,62 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
     (B, N, L, d) pair stacks, k[:, :, 0] the forget key k1. Step t adds the
     injection as C_t K_t, with the columns cols[:, t] in C_t (d x L) and
     the keys k[:, t] as the rows of K_t. Returns (readout (B, N, d), s_n
-    (B, d, d)) with readout_t = S_t q_t. Raises ShapeError if k and cols
-    differ in shape, NumericError (with the step) on a non-finite state.
+    (B, d, d)) with readout_t = S_t q_t.
+
+    The forward runs in transition form, S_t = S_{t-1} A_t + C_t K_t with
+    A_t = alpha_t (I - beta1_t k1_t k1_t^T). One batched product writes
+    every C_t K_t into the state history; the A_t are formed ``_BLOCK``
+    steps at a time into one reused buffer; each step is then one (d x d)
+    product and one add. The readouts come from one product over the
+    history after the loop, and so does the backward's m_t = S_{t-1} k1_t,
+    formed only when the backward runs. Finiteness is checked once, over
+    the whole history, after the loop.
+
+    Raises ShapeError if the inputs do not fit together, NumericError
+    whose ``step`` is the first step with a non-finite state.
     """
-    if k.data.shape != cols.data.shape:
-        raise ShapeError(f"injection keys {k.data.shape} and columns {cols.data.shape} differ")
+    _check_scan_args(alpha, beta1, k, cols, q, s0)
     ad, bd, kmat, cmat, qd, s0d = (t.data for t in (alpha, beta1, k, cols, q, s0))
-    c_t = np.ascontiguousarray(_swap(cmat))   # (B, N, d, L): the C_t of every step
     bsz, n, d = qd.shape
-    s_hist = np.empty((bsz, n + 1, d, d), dtype=s0d.dtype)
-    m_hist = np.empty((bsz, n, d), dtype=s0d.dtype)
+    # Step-major: every step's (B, d, d) state, and every transition, is
+    # one contiguous block, which the step loop's small products need.
+    k1 = kmat[:, :, 0].swapaxes(0, 1)
+    s_hist = np.empty((n + 1, bsz, d, d), dtype=s0d.dtype)
+    s_hist[0] = s0d
+    blk = min(_BLOCK, n)
+    # A flat buffer, so that the diagonals of its transitions are one view.
+    a_flat = np.empty((blk, bsz, d * d), dtype=s0d.dtype)
+    a_blk = a_flat.reshape(blk, bsz, d, d)
+    tmp = np.empty((bsz, d, d), dtype=s0d.dtype)
+    # A non-finite state is reported below; the steps after it warn nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(_swap(cmat).swapaxes(0, 1), kmat.swapaxes(0, 1), out=s_hist[1:])
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            a, ab = a_blk[:hi - lo], ad[:, lo:hi].T
+            np.multiply(k1[lo:hi, :, :, None], k1[lo:hi, :, None, :], out=a)
+            a *= (-ab * bd[:, lo:hi].T)[:, :, None, None]
+            a_flat[:hi - lo, :, ::d + 1] += ab[:, :, None]
+            for t in range(lo, hi):
+                np.matmul(s_hist[t], a[t - lo], out=tmp)
+                s_hist[t + 1] += tmp
+        bad = ~np.isfinite(s_hist[1:]).all(axis=(1, 2, 3))
+    if bad.any():
+        step = int(bad.argmax())
+        raise NumericError(f"state became non-finite at step {step}", step=step)
     out = np.empty((bsz, n, d), dtype=s0d.dtype)
-    s = s0d.copy()
-    s_hist[:, 0] = s
-    for t in range(n):
-        kt = kmat[:, t, 0]
-        m = (s @ kt[:, :, None])[:, :, 0]
-        m_hist[:, t] = m
-        s = ad[:, t, None, None] * (s - bd[:, t, None, None]
-                                    * (m[:, :, None] * kt[:, None, :]))
-        s += c_t[:, t] @ kmat[:, t]
-        if not np.isfinite(s).all():
-            raise NumericError(f"state became non-finite at step {t}", step=t)
-        s_hist[:, t + 1] = s
-        out[:, t] = (s @ qd[:, t, :, None])[:, :, 0]
+    np.matmul(s_hist[1:], qd.swapaxes(0, 1)[..., None], out=out.swapaxes(0, 1)[..., None])
 
     def back(g_out, g_sn):
+        m_hist = (s_hist[:-1] @ k1[..., None])[..., 0]
         grad_s = g_sn.copy()
         g_a, g_b1, g_q = np.empty_like(ad), np.empty_like(bd), np.empty_like(qd)
         g_k, g_c = np.empty_like(kmat), np.empty_like(cmat)
         for t in range(n - 1, -1, -1):
             kt = kmat[:, t, 0]
-            m = m_hist[:, t]
-            s_prev = s_hist[:, t]
-            st = s_hist[:, t + 1]
+            m = m_hist[t]
+            s_prev = s_hist[t]
+            st = s_hist[t + 1]
             go = g_out[:, t]
             # readout_t = S_t q_t
             grad_s += go[:, :, None] * qd[:, t][:, None, :]
@@ -273,7 +325,8 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
                 grad_s - bd[:, t, None, None] * (w2[:, :, None] * kt[:, None, :]))
         return g_a, g_b1, g_k, g_c, g_q, grad_s
 
-    return T.custom_op_multi((out, s), (alpha, beta1, k, cols, q, s0), back)
+    return T.custom_op_multi((out, s_hist[n].copy()), (alpha, beta1, k, cols, q, s0),
+                             back)
 
 
 def _swap(a):
@@ -456,14 +509,15 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
     of the chunk interiors, and in every gradient it returns. Float64
     values this small do not occur in practice.
 
-    Raises NumericError whose ``step`` is the first step with a non-finite
-    readout, or, if every readout is finite, the last step of the first
-    chunk whose end state is not.
+    Raises ShapeError if the inputs do not fit together, ConfigError
+    unless ``chunk`` is an int >= 1, and NumericError whose ``step`` is the
+    first step with a non-finite readout, or, if every readout is finite,
+    the last step of the first chunk whose end state is not.
     """
-    if k.data.shape != cols.data.shape:
-        raise ShapeError(f"injection keys {k.data.shape} and columns {cols.data.shape} differ")
+    _check_scan_args(alpha, beta1, k, cols, q, s0)
+    chunk = check_int("chunk", chunk, 1)
     bsz, n, d = q.data.shape
-    c = max(1, min(chunk, n))
+    c = min(chunk, max(n, 1))
     raw = (np.log(np.maximum(alpha.data, np.finfo(q.data.dtype).tiny)), beta1.data,
            k.data, cols.data, q.data)
     la, b, kw, cw, qm = _wy_inputs(*raw, c)

@@ -3,6 +3,7 @@ algebra, spectrum and rank structure, loop stability."""
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -203,6 +204,40 @@ def test_scale_into_unit_ball_gradient():
         w = T.Tensor(rng.standard_normal((3, 2, 5)))
         err = grad_check(lambda t: (scale_into_unit_ball(t) * w).sum(), x)
         assert err < 1e-4
+
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scale_into_unit_ball_zero_key_warns_nothing(dtype):
+    # A float32 guard of 1e-300 rounds to 0 and divided by it; a zero
+    # forget key, and a zero input to the whole layer, warn nothing.
+    cfg, params, _ = make({"d": 4, "chunk": 4}, seed=5, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = scale_into_unit_ball(T.Tensor(np.zeros((3, 2, 4), dtype=dtype))).data
+        y, _ = chunked_forward(T.Tensor(np.zeros((2, 6, 4), dtype=dtype)), params, cfg)
+    assert_same_bits(out, np.zeros((3, 2, 4), dtype=dtype))
+    assert np.isfinite(y.data).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scale_into_unit_ball_bits_equal_guarded_division(dtype):
+    # 1 / fmax(n, 1) is 1 inside the ball and 1 / n outside: the scale of
+    # the guarded division where(n > 1, 1 / max(n, 1e-300), 1), bit for
+    # bit, rows of norm 0, 1, NaN and inf included.
+    rng = np.random.default_rng(6)
+    k = (rng.standard_normal((64, 2, 5)) * rng.uniform(0.0, 3.0, (64, 1, 1))).astype(dtype)
+    k[0, 0] = 0.0
+    k[1, 0] = np.eye(5, dtype=dtype)[2]
+    k[2, 0, 3] = np.nan
+    k[3, 0, 1] = np.inf
+    k1 = k[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.sqrt((k1 * k1).sum(axis=-1, keepdims=True))
+        want = k.copy()
+        want[:, 0] *= np.where(n > 1.0, 1.0 / np.maximum(n, 1e-300), 1.0)
+        got = scale_into_unit_ball(T.Tensor(k)).data
+    assert_same_bits(got, want)
 
 
 # ---------------------------------------------------------------- rank accumulate
@@ -453,6 +488,35 @@ def test_scan_core_rejects_unpaired_factors():
             scan(*args)
 
 
+# Scan inputs for B 1, N 3, d 2, L 2, and the ways each check catches.
+_FIT = {"alpha": (1, 3), "beta1": (1, 3), "k": (1, 3, 2, 2), "c": (1, 3, 2, 2),
+        "q": (1, 3, 2), "s0": (1, 2, 2)}
+_MISFITS = {"s0_d": {"s0": (1, 3, 3)}, "q_d": {"q": (1, 3, 3)},
+            "short_alpha": {"alpha": (1, 2)}, "short_beta1": {"beta1": (1, 2)},
+            "batch_s0": {"s0": (2, 2, 2)}, "flat_k": {"k": (1, 3, 2), "c": (1, 3, 2)},
+            "q_2d": {"q": (3, 2)}}
+
+
+def _shaped_args(**shapes):
+    """Scan inputs of 0.5s in the shapes of ``_FIT``, those named replaced."""
+    shapes = {**_FIT, **shapes}
+    return [T.Tensor(np.full(shapes[name], 0.5)) for name in _FIT]
+
+
+@pytest.mark.parametrize("scan", [scan_core, lambda *a: chunked_scan(*a, chunk=2)],
+                         ids=["scan_core", "chunked_scan"])
+@pytest.mark.parametrize("part", list(_MISFITS))
+def test_scan_rejects_misfit_inputs(scan, part):
+    with pytest.raises(ShapeError):
+        scan(*_shaped_args(**_MISFITS[part]))
+
+
+@pytest.mark.parametrize("chunk", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"])
+def test_chunked_scan_rejects_bad_chunk(chunk):
+    with pytest.raises(ConfigError, match="chunk"):
+        chunked_scan(*_shaped_args(), chunk=chunk)
+
+
 def _scan_arrays(rng, bsz, n, d, L):
     arrays = {"alpha": rng.uniform(0.5, 1.0, (bsz, n)),
               "beta1": rng.uniform(0.1, 0.9, (bsz, n)),
@@ -593,6 +657,40 @@ def test_serial_forward_nan_reports_step():
         scan_core(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
                   T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))))
     assert exc.value.step == 2
+
+
+def test_scan_core_blocks_equal_dense_transition_loop():
+    # S_t = S_{t-1} A_t + B_t, one dense (d x d) step at a time, over an N
+    # that spans four transition blocks and ends inside the last.
+    rng = np.random.default_rng(16)
+    bsz, n, d = 2, 3 * cell._BLOCK + 5, 5
+    a = _scan_arrays(rng, bsz, n, d, 2)
+    terms = StepTerms(u=None, q=T.Tensor(a["q"]), v=None, alpha=T.Tensor(a["alpha"]),
+                      k=T.Tensor(a["k"]), p=None, beta=T.Tensor(a["beta1"][..., None]))
+    a_dense, b_dense = dense_transitions(terms, T.Tensor(a["c"]))
+    s = a["s0"]
+    want = np.empty((bsz, n, d))
+    for t in range(n):
+        s = s @ a_dense[:, t] + b_dense[:, t]
+        want[:, t] = (s @ a["q"][:, t, :, None])[..., 0]
+    out, s_n = scan_core(*(T.Tensor(a[name]) for name in ("alpha", "beta1", "k", "c", "q",
+                                                           "s0")))
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(s_n.data, s, rtol=1e-12, atol=1e-12)
+
+
+def test_scan_core_nan_in_later_block_reports_step():
+    # The whole history is checked once after the loop: the first
+    # non-finite state is reported, and the steps after it warn nothing.
+    rng = np.random.default_rng(17)
+    n, bad = 3 * cell._BLOCK + 5, 2 * cell._BLOCK + 7
+    alpha, beta, k, c, q = _nan_scan_inputs(rng, n, 3, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            scan_core(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
+                      T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))))
+    assert exc.value.step == bad
 
 
 def test_chunked_scan_nan_reports_step():
