@@ -206,11 +206,10 @@ def test_scale_into_unit_ball_gradient():
         assert err < 1e-4
 
 
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scale_into_unit_ball_zero_key_warns_nothing(dtype):
-    # A float32 guard of 1e-300 rounds to 0 and divided by it; a zero
-    # forget key, and a zero input to the whole layer, warn nothing.
+    # A zero forget key, and a zero input to the whole layer, warn nothing
+    # in either dtype: a norm guard as small as 1e-300 is 0 in float32.
     cfg, params, _ = make({"d": 4, "chunk": 4}, seed=5, dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -488,7 +487,7 @@ def test_scan_core_rejects_unpaired_factors():
             scan(*args)
 
 
-# Scan inputs for B 1, N 3, d 2, L 2, and the ways each check catches.
+# Scan inputs that fit (B 1, N 3, d 2, L 2), and misfits the check must catch.
 _FIT = {"alpha": (1, 3), "beta1": (1, 3), "k": (1, 3, 2, 2), "c": (1, 3, 2, 2),
         "q": (1, 3, 2), "s0": (1, 2, 2)}
 _MISFITS = {"s0_d": {"s0": (1, 3, 3)}, "q_d": {"q": (1, 3, 3)},
@@ -673,8 +672,7 @@ def test_scan_core_blocks_equal_dense_transition_loop():
     for t in range(n):
         s = s @ a_dense[:, t] + b_dense[:, t]
         want[:, t] = (s @ a["q"][:, t, :, None])[..., 0]
-    out, s_n = scan_core(*(T.Tensor(a[name]) for name in ("alpha", "beta1", "k", "c", "q",
-                                                           "s0")))
+    out, s_n = scan_core(*(T.Tensor(a[name]) for name in _FIT))
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(s_n.data, s, rtol=1e-12, atol=1e-12)
 
