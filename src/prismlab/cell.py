@@ -522,12 +522,14 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
            k.data, cols.data, q.data)
     la, b, kw, cw, qm = _wy_inputs(*raw, c)
     n_ch = la.shape[1]
-    out, bounds, ch = _wy_forward(la, b, kw, cw, qm, s0.data)
-    readout = out.reshape(bsz, n_ch * c, d)[:, :n]
-    if not (np.isfinite(readout).all() and np.isfinite(bounds).all()):
-        step = _first_non_finite_step(raw, readout, bounds, c)
-        raise NumericError(f"readout or state became non-finite at step {step}",
-                           step=step)
+    # A non-finite input is reported below; the products it reaches warn nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, bounds, ch = _wy_forward(la, b, kw, cw, qm, s0.data)
+        readout = out.reshape(bsz, n_ch * c, d)[:, :n]
+        if not (np.isfinite(readout).all() and np.isfinite(bounds).all()):
+            step = _first_non_finite_step(raw, readout, bounds, c)
+            raise NumericError(f"readout or state became non-finite at step {step}",
+                               step=step)
 
     def back(g_out, g_sn):
         e, gram, qk, m, p, tinv, u, v, dk = (

@@ -7,6 +7,9 @@ The ops are the ones the models run: ``Tensor`` (``+``, ``*``, ``@``,
 ``reshape``, ``transpose``, ``tsum``, and ``custom_op`` and
 ``custom_op_multi`` for fused kernels with a hand-derived backward.
 
+Every op, elementary or fused, builds its node through ``custom_op`` (or
+``custom_op_multi`` for several outputs): it computes its output array and
+a backward closure on raw arrays, and ``custom_op`` decides whether to tape.
 The graph is a flat tape: every differentiable operation appends one node
 in execution order, and ``backward`` walks the tape strictly in reverse,
 accumulating (summing) gradients into every tensor that contributed.
@@ -146,32 +149,20 @@ def ones(shape, dtype=np.float64, requires_grad=False):
 def add(a, b):
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "add")
-    out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        na, nb = a.requires_grad, b.requires_grad
-        _record(out, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape) if na else None,
-            _unbroadcast(g, b.data.shape) if nb else None))
-    return out
+    na, nb = a.requires_grad, b.requires_grad
+    return custom_op(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if na else None,
+        _unbroadcast(g, b.data.shape) if nb else None))
 
 
 def mul(a, b):
-    if isinstance(b, (int, float)):
-        c = a.data.dtype.type(b)
-        out = Tensor(a.data * c, requires_grad=_wants_grad(a))
-        if out.requires_grad:
-            _record(out, (a,), lambda g: (g * c,))
-        return out
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "mul")
-    out = Tensor(a.data * b.data, requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        na, nb = a.requires_grad, b.requires_grad
-        _record(out, (a, b), lambda g: (
-            _unbroadcast(g * bd, ad.shape) if na else None,
-            _unbroadcast(g * ad, bd.shape) if nb else None))
-    return out
+    ad, bd = a.data, b.data
+    na, nb = a.requires_grad, b.requires_grad
+    return custom_op(ad * bd, (a, b), lambda g: (
+        _unbroadcast(g * bd, ad.shape) if na else None,
+        _unbroadcast(g * ad, bd.shape) if nb else None))
 
 
 def matmul(a, b):
@@ -184,23 +175,11 @@ def matmul(a, b):
     if min(a.data.ndim, b.data.ndim) < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: needs a left operand of 2 or more dims, a right one likewise "
                          f"and agreeing inner dimensions, got {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        na, nb = a.requires_grad, b.requires_grad
-
-        def back(g):
-            ga = gb = None
-            if na:
-                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-            if nb:
-                gb = np.swapaxes(ad, -1, -2) @ g
-                if gb.shape != bd.shape:
-                    gb = _unbroadcast(gb, bd.shape)
-            return ga, gb
-
-        _record(out, (a, b), back)
-    return out
+    ad, bd = a.data, b.data
+    na, nb = a.requires_grad, b.requires_grad
+    return custom_op(ad @ bd, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if na else None,
+        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if nb else None))
 
 
 # -- activations --------------------------------------------------------
@@ -265,10 +244,7 @@ def gelu_slope(x, cdf):
 def gelu(x):
     xd = x.data
     cdf = normal_cdf(xd)  # reused by backward
-    out = Tensor(xd * cdf, requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        _record(out, (x,), lambda g: (g * gelu_slope(xd, cdf),))
-    return out
+    return custom_op(xd * cdf, (x,), lambda g: (g * gelu_slope(xd, cdf),))
 
 
 def sigmoid_fn(x):
@@ -280,19 +256,13 @@ def sigmoid_fn(x):
 
 def sigmoid(x):
     s = sigmoid_fn(x.data)
-    out = Tensor(s, requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        _record(out, (x,), lambda g: (g * s * (1.0 - s),))
-    return out
+    return custom_op(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def silu(x):
-    s = sigmoid_fn(x.data)
-    out = Tensor(x.data * s, requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        xd = x.data
-        _record(out, (x,), lambda g: (g * (s + xd * s * (1.0 - s)),))
-    return out
+    xd = x.data
+    s = sigmoid_fn(xd)
+    return custom_op(xd * s, (x,), lambda g: (g * (s + xd * s * (1.0 - s)),))
 
 
 def softmax(x, axis=-1):
@@ -300,13 +270,11 @@ def softmax(x, axis=-1):
     m = xd.max(axis=axis, keepdims=True)
     e = np.exp(xd - m)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def back(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return ((g - dot) * s,)
-        _record(out, (x,), back)
-    return out
+
+    def back(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        return ((g - dot) * s,)
+    return custom_op(s, (x,), back)
 
 
 # -- structured ops ------------------------------------------------------
@@ -335,21 +303,19 @@ def causal_depthwise_conv1d(x, kernel):
     out_data = kd[0] * xp[..., 0:n, :]
     for j in range(1, w):
         out_data += kd[j] * xp[..., j:j + n, :]
-    out = Tensor(out_data, requires_grad=_wants_grad(x, kernel))
-    if out.requires_grad:
-        def back(g):
-            gk = np.empty_like(kd)
-            for j in range(w):
-                sl = xp[..., j:j + n, :]
-                gk[j] = (g * sl).reshape(-1, d).sum(axis=0)
-            gpad = [(0, 0)] * (g.ndim - 2) + [(0, w - 1), (0, 0)]
-            gp = np.pad(g, gpad)
-            gx = np.zeros_like(xd)
-            for j in range(w):
-                gx += kd[j] * gp[..., (w - 1 - j):(w - 1 - j) + n, :]
-            return gx, gk
-        _record(out, (x, kernel), back)
-    return out
+
+    def back(g):
+        gk = np.empty_like(kd)
+        for j in range(w):
+            sl = xp[..., j:j + n, :]
+            gk[j] = (g * sl).reshape(-1, d).sum(axis=0)
+        gpad = [(0, 0)] * (g.ndim - 2) + [(0, w - 1), (0, 0)]
+        gp = np.pad(g, gpad)
+        gx = np.zeros_like(xd)
+        for j in range(w):
+            gx += kd[j] * gp[..., (w - 1 - j):(w - 1 - j) + n, :]
+        return gx, gk
+    return custom_op(out_data, (x, kernel), back)
 
 
 def layernorm(x, gain, bias, eps=1e-5):
@@ -360,20 +326,16 @@ def layernorm(x, gain, bias, eps=1e-5):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_wants_grad(x, gain, bias))
-    if out.requires_grad:
-        d = xd.shape[-1]
-        gd = gain.data
+    d, gd = xd.shape[-1], gain.data
 
-        def back(g):
-            ggain = (g * xhat).reshape(-1, d).sum(axis=0)
-            gbias = g.reshape(-1, d).sum(axis=0)
-            gh = g * gd
-            gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-            return gx, ggain, gbias
-        _record(out, (x, gain, bias), back)
-    return out
+    def back(g):
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gbias = g.reshape(-1, d).sum(axis=0)
+        gh = g * gd
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return gx, ggain, gbias
+    return custom_op(xhat * gd + bias.data, (x, gain, bias), back)
 
 
 def softmax_cross_entropy(logits, targets):
@@ -396,61 +358,49 @@ def softmax_cross_entropy(logits, targets):
     lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
     picked = ld[np.arange(ld.shape[0]), tgt]
     loss_val = (lse - picked).mean()
-    out = Tensor(np.asarray(loss_val, dtype=ld.dtype), requires_grad=_wants_grad(logits))
-    if out.requires_grad:
-        def back(g):
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(ld.shape[0]), tgt] -= 1.0
-            return (p * (g / ld.shape[0]).astype(ld.dtype),)
-        _record(out, (logits,), back)
-    return out
+
+    def back(g):
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(ld.shape[0]), tgt] -= 1.0
+        return (p * (g / ld.shape[0]).astype(ld.dtype),)
+    return custom_op(np.asarray(loss_val, dtype=ld.dtype), (logits,), back)
 
 
 def take_slice(x, key):
-    out = Tensor(x.data[key], requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def back(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, key, g)
-            return (gx,)
-        _record(out, (x,), back)
-    return out
+    def back(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, key, g)
+        return (gx,)
+    return custom_op(x.data[key], (x,), back)
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
-    return out
+    return custom_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def transpose(x, axes=None):
-    out = Tensor(np.transpose(x.data, axes), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        inv = None if axes is None else np.argsort(axes)
-        _record(out, (x,), lambda g: (np.transpose(g, inv),))
-    return out
+    return custom_op(np.transpose(x.data, axes), (x,), lambda g: (
+        np.transpose(g, None if axes is None else np.argsort(axes)),))
 
 
 def tsum(x, axis=None):
-    out = Tensor(np.asarray(x.data.sum(axis=axis)), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
-            g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        _record(out, (x,), back)
-    return out
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
+        g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.data.shape).copy(),)
+    return custom_op(np.asarray(x.data.sum(axis=axis)), (x,), back)
 
 
 def custom_op(out_data, inputs, backward_fn):
-    """Register a fused kernel on the tape.
+    """Wrap ``out_data`` in a Tensor and tape it when any input wants grad.
 
     ``backward_fn(g)`` must return one array (or None) per input tensor.
-    Used by the scan kernels, whose hand-derived backward passes replace
-    dozens of per-step elementary nodes.
+    Every single-output op builds its node here: the elementary ops above
+    and the fused scan kernels, whose hand-derived backward passes replace
+    dozens of per-step elementary nodes. Without a tape the closure is
+    dropped unrun.
     """
     out = Tensor(out_data, requires_grad=_wants_grad(*inputs))
     if out.requires_grad:

@@ -2,7 +2,6 @@
 algebra, spectrum and rank structure, loop stability."""
 
 import gc
-import math
 import warnings
 import weakref
 
@@ -11,7 +10,8 @@ import pytest
 
 from oracles import (TransitionPair, assert_chunked_scan_matches_serial,
                      build_transition, compose_transitions, dense_transitions,
-                     assert_same_bits, gelu_deriv_fn, gelu_fn, grad_check)
+                     assert_same_bits, gelu_deriv_fn, gelu_fn, grad_check,
+                     sigmoid_where)
 from prismlab import cell
 from prismlab import tensor as T
 from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
@@ -33,16 +33,6 @@ def make(cfg_kwargs=None, seed=0, dtype=np.float64):
 
 # ---------------------------------------------------------------- oracle
 
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def _gelu(x):
-    from scipy.special import erf
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
 def naive_prism_rollout(x, params, cfg):
     """Independent per-element re-implementation of the PRISM forward of
     one (N, d) sequence from a zero state."""
@@ -54,13 +44,13 @@ def naive_prism_rollout(x, params, cfg):
     for t in range(n):
         for j in range(w):
             u[t] += kern[j] * xp[t + j]
-    u = u * _sigmoid(u)
+    u = u * sigmoid_where(u)
 
     s = np.zeros((d, d))
     y = np.zeros((n, d))
     for t in range(n):
         ut = u[t]
-        alpha = _sigmoid(ut @ params.w_alpha.data[:, 0])
+        alpha = sigmoid_where(ut @ params.w_alpha.data[:, 0])
         q = ut @ params.w_q.data
         v = ut @ params.w_v.data
         ks, ps, bs = [], [], []
@@ -71,11 +61,11 @@ def naive_prism_rollout(x, params, cfg):
                 kl = kl / max(1.0, float(np.linalg.norm(kl)))
             ks.append(kl)
             ps.append(ut @ params.w_p.data[:, block])
-            bs.append(_sigmoid(ut @ params.w_beta.data[:, l]))
+            bs.append(sigmoid_where(ut @ params.w_beta.data[:, l]))
         r = v - ut
         b_t = np.zeros((d, d))
         for l in range(cfg.L):
-            delta = _gelu(ps[l] * r)
+            delta = gelu_fn(ps[l] * r)
             b_t += bs[l] * np.outer(delta, ks[l])
             r = r - delta
         s = alpha * (s @ (np.eye(d) - bs[0] * np.outer(ks[0], ks[0]))) + b_t
@@ -145,7 +135,7 @@ def test_terms_match_per_formula_oracle():
     for t in range(4):
         ut = u[0, t]
         np.testing.assert_allclose(terms.alpha.data[0, t],
-                                   _sigmoid(ut @ params.w_alpha.data[:, 0]), rtol=1e-12)
+                                   sigmoid_where(ut @ params.w_alpha.data[:, 0]), rtol=1e-12)
         np.testing.assert_allclose(terms.q.data[0, t], ut @ params.w_q.data, rtol=1e-12)
         np.testing.assert_allclose(terms.v.data[0, t], ut @ params.w_v.data, rtol=1e-12)
         for l in range(cfg.L):
@@ -157,7 +147,7 @@ def test_terms_match_per_formula_oracle():
             np.testing.assert_allclose(terms.p.data[0, t, l],
                                        ut @ params.w_p.data[:, block], rtol=1e-12)
             np.testing.assert_allclose(terms.beta.data[0, t, l],
-                                       _sigmoid(ut @ params.w_beta.data[:, l]), rtol=1e-12)
+                                       sigmoid_where(ut @ params.w_beta.data[:, l]), rtol=1e-12)
 
 
 def test_prism_stacked_init_draws_per_pair_order():
@@ -306,7 +296,7 @@ def test_rank_accumulate_scalar_loop_oracle():
         want_b = np.zeros((4, 4))
         got_b = np.zeros((4, 4))
         for l in range(2):
-            delta = np.array([_gelu(p[0, t, l, i] * r[i]) for i in range(4)])
+            delta = np.array([gelu_fn(p[0, t, l, i] * r[i]) for i in range(4)])
             for i in range(4):
                 for j in range(4):
                     want_b[i, j] += beta[0, t, l] * delta[i] * k[0, t, l, j]
@@ -699,6 +689,19 @@ def test_chunked_scan_nan_reports_step():
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
         chunked_scan(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
                      T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))), chunk=4)
+    assert exc.value.step == 6
+
+
+def test_chunked_scan_nan_reports_step_and_warns_nothing():
+    # The inputs above with warnings as errors: the products that the
+    # infinite column reaches warn nothing, and the step is still reported.
+    rng = np.random.default_rng(15)
+    alpha, beta, k, c, q = _nan_scan_inputs(rng, 10, 3, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            chunked_scan(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
+                         T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))), chunk=4)
     assert exc.value.step == 6
 
 

@@ -492,6 +492,64 @@ def test_no_grad_blocks_taping():
     assert not y.requires_grad
 
 
+# Each primitive of test_grad_check_every_primitive alone, on an input of
+# its shape there and untaped operands, plus the loss and a Python scalar.
+@pytest.mark.parametrize("op,shape", [
+    pytest.param(lambda x: x @ T.Tensor(np.ones((4, 3))), (4, 4), id="matmul"),
+    pytest.param(lambda x: T.add(x, T.Tensor(np.ones((2, 4)))), (3, 1, 4), id="add"),
+    pytest.param(T.gelu, (7,), id="gelu"),
+    pytest.param(T.silu, (7,), id="silu"),
+    pytest.param(T.sigmoid, (7,), id="sigmoid"),
+    pytest.param(T.softmax, (3, 5), id="softmax"),
+    pytest.param(lambda x: T.causal_depthwise_conv1d(x, T.Tensor(np.ones((3, 2)))), (6, 2),
+                 id="conv"),
+    pytest.param(lambda x: T.layernorm(x, T.ones(4), T.zeros(4)), (3, 4), id="layernorm"),
+    pytest.param(lambda x: x * T.Tensor(np.ones((4, 3))), (4, 3), id="mul"),
+    pytest.param(lambda x: 0.25 * x, (4, 3), id="mul_float"),
+    pytest.param(lambda x: T.tsum(x, axis=1), (3, 4, 2), id="tsum_axis"),
+    pytest.param(lambda x: x.sum(), (3, 4), id="tsum"),
+    pytest.param(lambda x: T.reshape(x, (2, 6)), (3, 4), id="reshape"),
+    pytest.param(lambda x: T.transpose(x, (2, 0, 1)), (2, 3, 4), id="transpose"),
+    pytest.param(lambda x: x[1:4], (5, 3), id="take_slice"),
+    pytest.param(lambda x: x[_IDS], (6, 3), id="take_slice_ids"),
+    pytest.param(lambda x: x[_ROWS, _QPOS], (3, 5, 4), id="take_slice_rows"),
+    pytest.param(lambda x: T.softmax_cross_entropy(x, np.array([0, 4, 2])), (3, 5),
+                 id="softmax_cross_entropy"),
+])
+def test_each_primitive_records_one_node(op, shape, monkeypatch):
+    # A taped input gives one node, whose output is the op's and needs
+    # grad; no_grad or untaped inputs give none.
+    nodes = []
+    monkeypatch.setattr(T, "_record", lambda *node: nodes.append(node))
+    data = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    x = T.Tensor(data, requires_grad=True)
+    out = op(x)
+    assert out.requires_grad
+    assert len(nodes) == 1
+    assert nodes[0][0] is out and any(inp is x for inp in nodes[0][1])
+    nodes.clear()
+    with T.no_grad():
+        assert not op(x).requires_grad
+    assert not op(T.Tensor(data)).requires_grad
+    assert nodes == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mul_by_python_float_keeps_dtype_and_bits(dtype):
+    # causal_attention scales its scores by the Python float 1 / sqrt(hd):
+    # value and gradient equal, bit for bit, those of the constant cast to
+    # the tensor's dtype first (1 / sqrt(3) is not a float32).
+    rng = np.random.default_rng(21)
+    c = 1.0 / math.sqrt(3.0)
+    xd, g = (rng.standard_normal((4, 5)).astype(dtype) for _ in range(2))
+    for y_of in (lambda x: x * c, lambda x: c * x):
+        x = T.Tensor(xd, requires_grad=True)
+        y = y_of(x)
+        T.backward((y * T.Tensor(g)).sum())
+        assert_same_bits(y.data, xd * np.asarray(c, dtype))
+        assert_same_bits(x.grad, g * np.asarray(c, dtype))
+
+
 def test_determinism_same_seed_same_result():
     def run():
         rng = np.random.default_rng(99)
