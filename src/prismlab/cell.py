@@ -337,7 +337,10 @@ def _unit_lower_inverse(m):
     """(I + M)^-1 for strictly lower triangular M of shape (..., c, c), by
     forward substitution, one row per step. The Neumann series of the same
     inverse has terms up to C(c-1, c/2) in size when beta1 is near 1 and
-    the keys are aligned unit vectors, which float32 cannot sum."""
+    the keys are aligned unit vectors, which float32 cannot sum.
+    ``np.linalg.inv(I + M)`` is 6-9x slower at the training shapes (float32,
+    one BLAS thread): 6.3 ms against 0.74 ms at (4, 128, 16, 16), and 1.8 ms
+    against 0.29 ms at (32, 8, 16, 16)."""
     c = m.shape[-1]
     inv = np.zeros_like(m)
     inv[..., range(c), range(c)] = 1.0

@@ -84,7 +84,14 @@ SCAN_BLOCK = 16  # steps per block of blocked_gated_scan; one state kept per blo
 
 
 def _gate_rows(g):
-    """(c, M, d) key-channel gates -> (c, M, d, d), g_t copied into every row."""
+    """(c, M, d) key-channel gates -> (c, M, d, d), g_t copied into every row.
+
+    The copy lets the step loop multiply contiguous arrays. Multiplying by
+    a broadcast g_t[:, None, :] instead is slower per step (float32, one
+    thread, 2-core VM): 25.6 us at M 128 against 19.2 us for the copy
+    amortised over a 16-step block (11.7 us) plus the contiguous multiply
+    (7.5 us), and 7.2 us against 4.3 us at M 16.
+    """
     return np.repeat(g[:, :, None, :], g.shape[-1], axis=2)
 
 
@@ -366,6 +373,8 @@ class ModelKind(enum.Enum):
 
     @classmethod
     def parse(cls, name):
+        if not isinstance(name, str):
+            raise ConfigError(f"model kind must be a name, got {name!r}")
         name = name.strip().lower()
         aliases = {"prism": cls.PRISM, "la": cls.LINEAR_ATTENTION,
                    "linear_attention": cls.LINEAR_ATTENTION, "mom": cls.MOM,
@@ -380,6 +389,8 @@ class SequenceModel:
 
     def __init__(self, kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
                  seed=0, dtype=np.float32):
+        if not isinstance(kind, ModelKind):
+            raise ConfigError(f"model kind must be a ModelKind, got {kind!r}")
         for name, value in (("d", d), ("vocab", vocab), ("n_ctx", n_ctx), ("L", L)):
             check_int(f"model {name}", value, 1)
         self.kind = kind

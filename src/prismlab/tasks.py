@@ -1,11 +1,20 @@
 """Synthetic mechanistic probing tasks.
 
-Nine generators covering associative memory (MQAR, poly-recall, variable
+Nine tasks covering associative memory (MQAR, poly-recall, variable
 tracking), local non-linear logic (XOR, parity, modulo addition,
 palindrome), and gating control (silence gate, MUX). The vocabulary is
 partitioned into disjoint noise / data / control ranges so payload tokens
 can never be confused with background noise, and every sample is solvable
 with accuracy exactly 1.0 by the rule-based oracle in ``tests/oracles.py``.
+
+One table, ``_TASKS``, maps each ``TaskKind`` to its seed stream id (1..9),
+the sizes of its payload groups and its payload rule
+``fill(rng, layout, tokens, place) -> (query_positions, targets)``: the rule
+makes its draws, calls ``place()`` for the group starts and writes its
+groups over ``tokens``. ``generate_sample`` does the shared work once.
+Sample ``index`` under ``seed`` draws its payload from the generator seeded
+``seed_list(seed) + [stream, index, 0x5EED]`` and its noise background from
+``... 0x4015E``, so it is a pure function of (kind, cfg, seed, index).
 
 Layout conventions:
   * payload tokens form contiguous groups separated by at least one noise
@@ -23,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +69,7 @@ def vocab_partition(v):
     takes the rest. For V=64 this is [0,16) noise, [16,48) data, [48,64)
     control.
     """
-    if v < 32:
-        raise ConfigError(f"vocabulary too small: {v} < 32")
+    v = check_int("vocabulary", v, 32)
     data_n = v // 2
     control_n = max(v - v // 4 - data_n, len(NAMED_TOKENS))
     noise_n = v - data_n - control_n
@@ -87,23 +95,20 @@ class TaskKind(enum.Enum):
 
     @classmethod
     def parse(cls, name):
-        name = name.strip().lower().replace("-", "_")
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ConfigError(f"unknown task kind: {name!r}")
+        try:
+            return cls(name.strip().lower().replace("-", "_"))
+        except (AttributeError, ValueError):  # not a string, or no such task
+            raise ConfigError(f"unknown task kind: {name!r}") from None
 
 
 @dataclass
 class TaskConfig:
     n: int = 128
     v: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         check_int("TaskConfig.n", self.n, 8)
-        check_int("TaskConfig.v", self.v, 1)
-        vocab_partition(self.v)  # raises ConfigError for a vocabulary too small
+        vocab_partition(self.v)  # raises ConfigError for a bad vocabulary
 
     def layout(self):
         return vocab_partition(self.v)
@@ -115,35 +120,6 @@ class TaskSample:
     query_positions: np.ndarray   # strictly increasing, within [0, N)
     targets: np.ndarray           # aligned with query_positions
 
-
-def queries_per_sample(kind: TaskKind) -> int:
-    return KV_PAIRS if kind is TaskKind.MQAR else 1
-
-
-# Sizes of the contiguous payload groups each generator places, in order.
-_GROUP_SIZES = {
-    TaskKind.MQAR: [2] * (2 * KV_PAIRS),
-    TaskKind.POLY_RECALL: [3, 3, 3],
-    TaskKind.VAR_TRACKING: [2] * (CHAIN_LEN + 1),
-    TaskKind.LOCAL_XOR: [3],
-    TaskKind.PARITY: [PARITY_BITS + 1],
-    TaskKind.MODULO_ADD: [3],
-    TaskKind.PALINDROME: [4],
-    TaskKind.SILENCE_GATE: [3, 2],
-    TaskKind.MUX: [4],
-}
-
-
-def min_length(kind: TaskKind) -> int:
-    """Shortest N that holds the task's payload groups with one gap token
-    between consecutive groups."""
-    sizes = _GROUP_SIZES[kind]
-    return sum(sizes) + len(sizes) - 1
-
-
-# --------------------------------------------------------------------------
-# placement
-# --------------------------------------------------------------------------
 
 def _place_groups(rng, n, sizes):
     """Uniformly random non-overlapping starts for ordered groups.
@@ -157,20 +133,10 @@ def _place_groups(rng, n, sizes):
     free = n - need
     if free < 0:
         raise DataError(f"payload of {need} tokens does not fit in N={n}")
+    # cuts[i] is the number of free tokens before group i plus its i
+    # earlier gaps, so group i starts at cuts[i] plus the earlier sizes.
     cuts = np.sort(rng.choice(free + m, size=m, replace=False))
-    slacks = np.diff(np.concatenate([[-1], cuts])) - 1
-    starts = []
-    pos = 0
-    for i in range(m):
-        pos += slacks[i]
-        starts.append(pos)
-        pos += sizes[i] + 1
-    return starts
-
-
-def _base_sequence(cfg, rng_noise, layout):
-    lo, hi = layout.noise.start, layout.noise.stop
-    return rng_noise.integers(lo, hi, size=cfg.n).astype(np.int64)
+    return cuts + np.cumsum((0,) + tuple(sizes[:-1]))
 
 
 def seed_list(seed):
@@ -185,201 +151,181 @@ def seed_list(seed):
     return [int(s) for s in seeds]
 
 
-def _rngs(cfg, task_id, index=0):
-    payload = np.random.default_rng(seed_list(cfg.seed) + [task_id, index, 0x5EED])
-    noise = np.random.default_rng(seed_list(cfg.seed) + [task_id, index, 0x4015E])
-    return payload, noise
-
-
 def _write(tokens, start, group):
     tokens[start:start + len(group)] = group
-
-
-# --------------------------------------------------------------------------
-# generators
-# --------------------------------------------------------------------------
-
-def gen_mqar(cfg: TaskConfig, index=0) -> TaskSample:
-    """K key-value pairs at random positions; each key is re-queried."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 1, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    k = KV_PAIRS
-    keys = payload.choice(np.asarray(layout.data), size=k, replace=False)
-    vals = payload.choice(np.asarray(layout.data), size=k, replace=True)
-    stmt_order = payload.permutation(k)
-    query_order = payload.permutation(k)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MQAR])
-    for slot, pair in enumerate(stmt_order):
-        _write(tokens, starts[slot], [keys[pair], vals[pair]])
-    qpos, tgt = [], []
-    for slot, pair in enumerate(query_order):
-        s = starts[k + slot]
-        _write(tokens, s, [layout.token("QUERY"), keys[pair]])
-        qpos.append(s + 1)
-        tgt.append(vals[pair])
-    return TaskSample(tokens, np.asarray(qpos), np.asarray(tgt))
-
-
-def gen_poly_recall(cfg: TaskConfig, index=0) -> TaskSample:
-    """One key mapped to different values under two context markers."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 2, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    key = payload.choice(np.asarray(layout.data))
-    v1, v2 = payload.choice(np.asarray(layout.data), size=2, replace=False)
-    ctx = [layout.token("CTX_A"), layout.token("CTX_B")]
-    stmt_order = payload.permutation(2)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.POLY_RECALL])
-    values = [v1, v2]
-    for slot, which in enumerate(stmt_order):
-        _write(tokens, starts[slot], [ctx[which], key, values[which]])
-    pick = int(payload.integers(0, 2))
-    s = starts[2]
-    _write(tokens, s, [layout.token("QUERY"), ctx[pick], key])
-    return TaskSample(tokens, np.asarray([s + 2]), np.asarray([values[pick]]))
-
-
-def gen_var_tracking(cfg: TaskConfig, index=0) -> TaskSample:
-    """Assignment chain a=val, b=a, c=b placed in causal order; query c."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 3, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    m = CHAIN_LEN
-    picks = payload.choice(np.asarray(layout.data), size=m + 1, replace=False)
-    chain, value = picks[:m], picks[m]
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.VAR_TRACKING])
-    _write(tokens, starts[0], [chain[0], value])
-    for i in range(1, m):
-        _write(tokens, starts[i], [chain[i], chain[i - 1]])
-    s = starts[m]
-    _write(tokens, s, [layout.token("QUERY"), chain[m - 1]])
-    return TaskSample(tokens, np.asarray([s + 1]), np.asarray([value]))
 
 
 def _bit_token(layout, bit):
     return layout.data.start + int(bit)
 
 
-def gen_local_xor(cfg: TaskConfig, index=0) -> TaskSample:
+# One payload rule per task: fill(rng, layout, tokens, place) -> (query_positions, targets).
+
+def _mqar(rng, layout, tokens, place):
+    """K key-value pairs at random positions; each key is re-queried."""
+    k, data = KV_PAIRS, np.asarray(layout.data)
+    keys = rng.choice(data, size=k, replace=False)
+    vals = rng.choice(data, size=k, replace=True)
+    stmt_order = rng.permutation(k)
+    query_order = rng.permutation(k)
+    starts = place()
+    for slot, pair in enumerate(stmt_order):
+        _write(tokens, starts[slot], [keys[pair], vals[pair]])
+    for slot, pair in enumerate(query_order):
+        _write(tokens, starts[k + slot], [layout.token("QUERY"), keys[pair]])
+    return [s + 1 for s in starts[k:]], vals[query_order]
+
+
+def _poly_recall(rng, layout, tokens, place):
+    """One key mapped to different values under two context markers."""
+    data = np.asarray(layout.data)
+    key = rng.choice(data)
+    values = rng.choice(data, size=2, replace=False)
+    ctx = [layout.token("CTX_A"), layout.token("CTX_B")]
+    stmt_order = rng.permutation(2)
+    starts = place()
+    for slot, which in enumerate(stmt_order):
+        _write(tokens, starts[slot], [ctx[which], key, values[which]])
+    pick = int(rng.integers(0, 2))
+    s = starts[2]
+    _write(tokens, s, [layout.token("QUERY"), ctx[pick], key])
+    return [s + 2], [values[pick]]
+
+
+def _var_tracking(rng, layout, tokens, place):
+    """Assignment chain a=val, b=a, c=b placed in causal order; query c."""
+    m = CHAIN_LEN
+    picks = rng.choice(np.asarray(layout.data), size=m + 1, replace=False)
+    chain, value = picks[:m], picks[m]
+    starts = place()
+    _write(tokens, starts[0], [chain[0], value])
+    for i in range(1, m):
+        _write(tokens, starts[i], [chain[i], chain[i - 1]])
+    s = starts[m]
+    _write(tokens, s, [layout.token("QUERY"), chain[m - 1]])
+    return [s + 1], [value]
+
+
+def _local_xor(rng, layout, tokens, place):
     """[a, b, TOK_XOR]; label 1 iff parities of a and b differ."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 4, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    a, b = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.LOCAL_XOR])
+    a, b = rng.choice(np.asarray(layout.data), size=2, replace=True)
+    (s,) = place()
     _write(tokens, s, [a, b, layout.token("TOK_XOR")])
-    label = int((a % 2) != (b % 2))
-    return TaskSample(tokens, np.asarray([s + 2]),
-                      np.asarray([_bit_token(layout, label)]))
+    return [s + 2], [_bit_token(layout, (a % 2) != (b % 2))]
 
 
-def gen_parity(cfg: TaskConfig, index=0) -> TaskSample:
+def _parity(rng, layout, tokens, place):
     """Contiguous n-bit block; label is the bit-sum parity."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 5, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    bits = payload.integers(0, 2, size=PARITY_BITS)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PARITY])
-    group = [_bit_token(layout, b) for b in bits] + [layout.token("QUERY")]
-    _write(tokens, s, group)
-    label = int(bits.sum() % 2)
-    return TaskSample(tokens, np.asarray([s + PARITY_BITS]),
-                      np.asarray([_bit_token(layout, label)]))
+    bits = rng.integers(0, 2, size=PARITY_BITS)
+    (s,) = place()
+    _write(tokens, s, [_bit_token(layout, b) for b in bits] + [layout.token("QUERY")])
+    return [s + PARITY_BITS], [_bit_token(layout, bits.sum() % 2)]
 
 
-def gen_modulo_add(cfg: TaskConfig, index=0) -> TaskSample:
+def _modulo_add(rng, layout, tokens, place):
     """[a, b]; label (a + b) mod M, all encoded in the data range."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 6, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    m = MODULUS
-    a, b = payload.integers(0, m, size=2)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MODULO_ADD])
+    a, b = rng.integers(0, MODULUS, size=2)
+    (s,) = place()
     _write(tokens, s, [layout.data.start + a, layout.data.start + b,
                        layout.token("QUERY")])
-    return TaskSample(tokens, np.asarray([s + 2]),
-                      np.asarray([layout.data.start + int((a + b) % m)]))
+    return [s + 2], [layout.data.start + int((a + b) % MODULUS)]
 
 
-def gen_palindrome(cfg: TaskConfig, index=0) -> TaskSample:
+def _palindrome(rng, layout, tokens, place):
     """[a, b, c]; label 1 iff a == c. Labels are balanced by construction."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 7, index)
-    tokens = _base_sequence(cfg, noise, layout)
     data = np.asarray(layout.data)
-    a, b = payload.choice(data, size=2, replace=True)
-    same = bool(payload.integers(0, 2))
-    if same:
-        c = a
-    else:
-        c = payload.choice(data[data != a])
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.PALINDROME])
+    a, b = rng.choice(data, size=2, replace=True)
+    c = a if rng.integers(0, 2) else rng.choice(data[data != a])
+    (s,) = place()
     _write(tokens, s, [a, b, c, layout.token("QUERY")])
-    return TaskSample(tokens, np.asarray([s + 3]),
-                      np.asarray([_bit_token(layout, int(a == c))]))
+    return [s + 3], [_bit_token(layout, a == c)]
 
 
-def gen_silence_gate(cfg: TaskConfig, index=0) -> TaskSample:
+def _silence_gate(rng, layout, tokens, place):
     """[T, k, v] with trigger ON/OFF; query k answers v or NULL."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 8, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    on = bool(payload.integers(0, 2))
+    on = bool(rng.integers(0, 2))
     trig = layout.token("ON") if on else layout.token("OFF")
-    key, val = payload.choice(np.asarray(layout.data), size=2, replace=False)
-    starts = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.SILENCE_GATE])
+    key, val = rng.choice(np.asarray(layout.data), size=2, replace=False)
+    starts = place()
     _write(tokens, starts[0], [trig, key, val])
     s = starts[1]
     _write(tokens, s, [layout.token("QUERY"), key])
-    target = val if on else layout.token("NULL")
-    return TaskSample(tokens, np.asarray([s + 1]), np.asarray([target]))
+    return [s + 1], [val if on else layout.token("NULL")]
 
 
-def gen_mux(cfg: TaskConfig, index=0) -> TaskSample:
+def _mux(rng, layout, tokens, place):
     """[S, ch0, ch1]; the selector picks which channel is the answer."""
-    layout = cfg.layout()
-    payload, noise = _rngs(cfg, 9, index)
-    tokens = _base_sequence(cfg, noise, layout)
-    sel = int(payload.integers(0, 2))
-    ch = payload.choice(np.asarray(layout.data), size=2, replace=True)
-    (s,) = _place_groups(payload, cfg.n, _GROUP_SIZES[TaskKind.MUX])
+    sel = int(rng.integers(0, 2))
+    ch = rng.choice(np.asarray(layout.data), size=2, replace=True)
+    (s,) = place()
     sel_tok = layout.token("SEL1") if sel else layout.token("SEL0")
     _write(tokens, s, [sel_tok, ch[0], ch[1], layout.token("QUERY")])
-    return TaskSample(tokens, np.asarray([s + 3]), np.asarray([ch[sel]]))
+    return [s + 3], [ch[sel]]
 
 
-_GENERATORS = {
-    TaskKind.MQAR: gen_mqar,
-    TaskKind.POLY_RECALL: gen_poly_recall,
-    TaskKind.VAR_TRACKING: gen_var_tracking,
-    TaskKind.LOCAL_XOR: gen_local_xor,
-    TaskKind.PARITY: gen_parity,
-    TaskKind.MODULO_ADD: gen_modulo_add,
-    TaskKind.PALINDROME: gen_palindrome,
-    TaskKind.SILENCE_GATE: gen_silence_gate,
-    TaskKind.MUX: gen_mux,
+# kind -> (seed stream id, sizes of the payload groups in placement order, rule)
+_TASKS = {
+    TaskKind.MQAR: (1, (2,) * (2 * KV_PAIRS), _mqar),
+    TaskKind.POLY_RECALL: (2, (3, 3, 3), _poly_recall),
+    TaskKind.VAR_TRACKING: (3, (2,) * (CHAIN_LEN + 1), _var_tracking),
+    TaskKind.LOCAL_XOR: (4, (3,), _local_xor),
+    TaskKind.PARITY: (5, (PARITY_BITS + 1,), _parity),
+    TaskKind.MODULO_ADD: (6, (3,), _modulo_add),
+    TaskKind.PALINDROME: (7, (4,), _palindrome),
+    TaskKind.SILENCE_GATE: (8, (3, 2), _silence_gate),
+    TaskKind.MUX: (9, (4,), _mux),
 }
 
 
-def generate_sample(kind: TaskKind, cfg: TaskConfig, index=0) -> TaskSample:
-    return _GENERATORS[kind](cfg, index=index)
+def _task(kind):
+    """The table row of ``kind``; ConfigError unless it is a TaskKind."""
+    try:
+        return _TASKS[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"task kind must be a TaskKind, got {kind!r}") from None
+
+
+def queries_per_sample(kind: TaskKind) -> int:
+    _task(kind)
+    return KV_PAIRS if kind is TaskKind.MQAR else 1
+
+
+def min_length(kind: TaskKind) -> int:
+    """Shortest N that holds the task's payload groups with one gap token
+    between consecutive groups."""
+    _, sizes, _ = _task(kind)
+    return sum(sizes) + len(sizes) - 1
+
+
+def generate_sample(kind: TaskKind, cfg: TaskConfig, seed, index=0) -> TaskSample:
+    """Sample ``index`` of ``kind`` under ``seed`` (an int, or a list of
+    ints), drawn from the two seed streams of the module docstring."""
+    stream, sizes, fill = _task(kind)
+    base = seed_list(seed) + [stream, index]
+    payload = np.random.default_rng(base + [0x5EED])
+    noise = np.random.default_rng(base + [0x4015E])
+    layout = cfg.layout()
+    tokens = noise.integers(layout.noise.start, layout.noise.stop, size=cfg.n)
+    qpos, tgt = fill(payload, layout, tokens,
+                     lambda: _place_groups(payload, cfg.n, sizes))
+    return TaskSample(tokens, np.asarray(qpos), np.asarray(tgt))
 
 
 def generate_batch(kind: TaskKind, cfg: TaskConfig, batch: int, seed: int):
-    """Deterministic batch: pure function of (kind, cfg, batch, seed).
+    """Deterministic batch whose row i is ``generate_sample(kind, cfg,
+    seed, index=i)``.
 
     Returns (tokens (B, N), query_positions (B, Q), targets (B, Q)).
     Raises ConfigError unless ``batch`` is an int >= 0.
     """
     check_int("batch", batch, 0)
-    cfg = replace(cfg, seed=seed)
+    seed = seed_list(seed)
     q = queries_per_sample(kind)
     tokens = np.empty((batch, cfg.n), dtype=np.int64)
     qpos = np.empty((batch, q), dtype=np.int64)
     tgt = np.empty((batch, q), dtype=np.int64)
     for i in range(batch):
-        s = generate_sample(kind, cfg, index=i)
+        s = generate_sample(kind, cfg, seed, index=i)
         tokens[i] = s.tokens
         qpos[i] = s.query_positions
         tgt[i] = s.targets

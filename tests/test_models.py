@@ -517,6 +517,19 @@ def test_oracle_kinds_not_trainable():
         ModelKind.parse("delta")
 
 
+def test_model_kind_parse_rejects_non_string():
+    with pytest.raises(ConfigError, match="model kind must be a name"):
+        ModelKind.parse(None)
+
+
+@pytest.mark.parametrize("kind", ["prism", "la", None])
+def test_non_model_kind_raises_config_error(kind):
+    # A name is not a ModelKind: build_model("prism") used to build causal
+    # attention without positional embeddings.
+    with pytest.raises(ConfigError, match="must be a ModelKind"):
+        build_model(kind)
+
+
 def test_state_dict_round_trip():
     model = build_model(ModelKind.MOM, d=8, vocab=16, n_ctx=8, seed=5)
     state = {k: v.copy() for k, v in model.state_dict().items()}

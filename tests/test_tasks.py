@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import task_oracle
+from prismlab import train
 from prismlab.errors import ConfigError, DataError
+from prismlab.models import ModelKind, build_model
 from prismlab.tasks import (KV_PAIRS, PARITY_BITS, TaskConfig, TaskKind, TaskSample,
                             generate_batch, generate_sample, min_length,
                             queries_per_sample, vocab_partition)
@@ -15,8 +17,8 @@ from prismlab.tasks import (KV_PAIRS, PARITY_BITS, TaskConfig, TaskKind, TaskSam
 ALL_KINDS = list(TaskKind)
 
 
-def cfg64(**kw):
-    return TaskConfig(n=128, v=64, **kw)
+def cfg64():
+    return TaskConfig(n=128, v=64)
 
 
 # ---------------------------------------------------------------- vocab
@@ -46,6 +48,12 @@ def test_vocab_partition_deterministic():
 def test_vocab_partition_too_small():
     with pytest.raises(ConfigError):
         vocab_partition(16)
+
+
+@pytest.mark.parametrize("v", [64.0, "64"], ids=["float", "str"])
+def test_vocab_partition_non_integer_raises_config_error(v):
+    with pytest.raises(ConfigError, match="vocabulary must be an int"):
+        vocab_partition(v)
 
 
 # ---------------------------------------------------------------- paper examples
@@ -149,7 +157,7 @@ def test_example_mux_picks_channel_one():
 def test_oracle_accuracy_exactly_one(kind):
     cfg = cfg64()
     for i in range(200):
-        s = generate_sample(kind, cfg, index=i)
+        s = generate_sample(kind, cfg, 0, index=i)
         got = task_oracle(kind, s, cfg)
         np.testing.assert_array_equal(got, s.targets, err_msg=f"{kind} sample {i}")
 
@@ -159,7 +167,7 @@ def test_sample_structure(kind):
     cfg = cfg64()
     lay = cfg.layout()
     for i in range(50):
-        s = generate_sample(kind, cfg, index=i)
+        s = generate_sample(kind, cfg, 0, index=i)
         assert s.tokens.shape == (cfg.n,)
         assert np.all((s.tokens >= 0) & (s.tokens < cfg.v))
         qp = s.query_positions
@@ -182,7 +190,7 @@ def test_logic_operands_contiguous(kind):
     span = {TaskKind.LOCAL_XOR: 3, TaskKind.PARITY: PARITY_BITS + 1,
             TaskKind.MODULO_ADD: 3, TaskKind.PALINDROME: 4, TaskKind.MUX: 4}[kind]
     for i in range(50):
-        s = generate_sample(kind, cfg, index=i)
+        s = generate_sample(kind, cfg, 0, index=i)
         p = int(s.query_positions[0])
         window = s.tokens[p - span + 1: p + 1]
         assert all(int(t) not in lay.noise for t in window)
@@ -196,7 +204,7 @@ def test_binary_label_balance():
         ones = 0
         n = 10_000
         for i in range(n):
-            s = generate_sample(kind, cfg, index=i)
+            s = generate_sample(kind, cfg, 0, index=i)
             ones += int(s.targets[0]) == lay.data.start + 1
         assert 0.45 <= ones / n <= 0.55, kind
 
@@ -204,7 +212,7 @@ def test_binary_label_balance():
 def test_silence_gate_trigger_balance():
     cfg = cfg64()
     lay = cfg.layout()
-    nulls = sum(int(generate_sample(TaskKind.SILENCE_GATE, cfg, index=i)
+    nulls = sum(int(generate_sample(TaskKind.SILENCE_GATE, cfg, 0, index=i)
                     .targets[0]) == lay.token("NULL") for i in range(2000))
     assert 0.45 <= nulls / 2000 <= 0.55
 
@@ -271,7 +279,7 @@ def test_bad_batch_size_raises_config_error(batch):
 
 def test_payload_overflow_raises():
     with pytest.raises(DataError):
-        generate_sample(TaskKind.MQAR, TaskConfig(n=12, v=64))
+        generate_sample(TaskKind.MQAR, TaskConfig(n=12, v=64), 0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -280,10 +288,10 @@ def test_min_length_is_tight(kind):
     # to fit at N 8.
     need = min_length(kind)
     for index in range(3):
-        generate_sample(kind, TaskConfig(n=max(need, 8), v=64), index=index)
+        generate_sample(kind, TaskConfig(n=max(need, 8), v=64), 0, index=index)
     if need > 8:
         with pytest.raises(DataError):
-            generate_sample(kind, TaskConfig(n=need - 1, v=64))
+            generate_sample(kind, TaskConfig(n=need - 1, v=64), 0)
 
 
 @pytest.mark.parametrize("seed", [-5, [1, -2]])
@@ -312,3 +320,21 @@ def test_task_kind_parse():
     assert TaskKind.parse("local-xor") is TaskKind.LOCAL_XOR
     with pytest.raises(ConfigError):
         TaskKind.parse("nope")
+
+
+def test_task_kind_parse_rejects_non_string():
+    with pytest.raises(ConfigError, match="unknown task kind: 3"):
+        TaskKind.parse(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: generate_batch(kind, TaskConfig(n=32), 2, seed=0),
+    min_length,
+    queries_per_sample,
+    lambda kind: train.evaluate(build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32),
+                                kind, TaskConfig(n=32), seed=0, n_samples=2),
+], ids=["generate_batch", "min_length", "queries_per_sample", "evaluate"])
+def test_task_name_in_place_of_kind_raises_config_error(call):
+    # queries_per_sample("mqar") used to answer 1 where MQAR has 4 queries.
+    with pytest.raises(ConfigError, match="must be a TaskKind"):
+        call("mqar")
