@@ -8,6 +8,15 @@ attention (the full-rank upper bound). Every mixer maps a (B, N, d) batch
 to (B, N, d). Only the transformer receives positional embeddings; the
 recurrent mixers get order from their scans.
 
+The transformer's and LA's (N, N) scores are one tape node each, both built
+by ``_weighted_mix`` and differing only in the score map:
+``softmax_attention`` scales, masks and normalises q k^T in place on one
+buffer, ``masked_linear_attention`` multiplies it by the 0/1 lower
+triangle. Between forward and backward each node keeps only its weights,
+B*h*N^2 floats (h = 1 for LA), and an untaped call keeps nothing. The
+products and the in-place steps are those of the composed elementary ops,
+in their order, so results equal theirs bit for bit.
+
 MoM stacks its experts: each of its gate, key, value and query projections
 is one (d, 4d) matrix whose column block i belongs to expert i, and the
 B*4 memories of a batch run through one ``blocked_gated_scan`` call. That
@@ -185,6 +194,93 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
 
 
 # --------------------------------------------------------------------------
+# N x N score mixers
+# --------------------------------------------------------------------------
+
+def _score_shape(q: Tensor, k: Tensor, v: Tensor):
+    """(N, e) of q, k and v, which must be (..., N, e) of one shape and
+    dtype; ShapeError otherwise."""
+    qd = q.data
+    if qd.ndim < 2 or any(a.data.shape != qd.shape or a.data.dtype != qd.dtype for a in (k, v)):
+        raise ShapeError(f"score mixer needs q, k, v of one (..., N, e) shape and dtype, got "
+                         f"{[(a.data.shape, str(a.data.dtype)) for a in (q, k, v)]}")
+    return qd.shape[-2:]
+
+
+def _weighted_mix(q: Tensor, k: Tensor, v: Tensor, weigh, weigh_back):
+    """out = W v with W = weigh(q k^T), as one tape node.
+
+    q, k, v are (..., N, e) of one shape and dtype, as ``_score_shape``
+    checks. ``weigh(s)`` turns the scores s = q k^T into the weights W in
+    place and returns them; ``weigh_back(dw, w)`` turns dL/dW into dL/ds
+    in place and returns it.
+    The node keeps W, one (..., N, N) array, and nothing else of its own:
+    the backward forms dL/dW = g v^T once and returns dq = ds k,
+    dk = (q^T ds)^T and dv = W^T g. Each product is the one the composed
+    ops (``matmul``, ``transpose``, ``mul``, ``add``, ``softmax``) form on
+    the same operand views, so outputs and gradients equal theirs bit for
+    bit.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    w = weigh(qd @ np.swapaxes(kd, -1, -2))
+
+    def back(g):
+        ds = weigh_back(g @ np.swapaxes(vd, -1, -2), w)
+        return (ds @ kd, np.swapaxes(np.swapaxes(qd, -1, -2) @ ds, -1, -2),
+                np.swapaxes(w, -1, -2) @ g)
+
+    return T.custom_op(w @ vd, (q, k, v), back)
+
+
+def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Causal softmax attention of (..., N, e) heads, as one tape node.
+
+    P = softmax(q k^T / sqrt(e) + M) with M = finfo.min / 4 above the
+    diagonal and 0 elsewhere; returns P v. The forward scales, masks,
+    subtracts the row max, exponentiates and divides by the row sum in
+    place on the one score array, in that order. The backward turns
+    dP = g v^T into (dP - rowsum(dP * P)) * P / sqrt(e) in place. The node
+    keeps P between the passes.
+    """
+    n, e = _score_shape(q, k, v)
+    dtype = q.data.dtype
+    scale = np.asarray(1.0 / np.sqrt(e), dtype=dtype)
+    mask = np.triu(np.full((n, n), np.finfo(dtype).min / 4.0, dtype=dtype), k=1)
+
+    def weigh(s):
+        s *= scale
+        s += mask
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s
+
+    def weigh_back(dp, p):
+        dp -= (dp * p).sum(axis=-1, keepdims=True)
+        dp *= p
+        dp *= scale
+        return dp
+
+    return _weighted_mix(q, k, v, weigh, weigh_back)
+
+
+def masked_linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Causally masked linear attention of (..., N, e) inputs, as one tape
+    node: (q k^T * L) v with L the 0/1 lower triangle, diagonal included.
+    The mask is a multiply, so a masked score is 0 or -0 as in the composed
+    form. The node keeps the masked scores between the passes.
+    """
+    n = _score_shape(q, k, v)[0]
+    mask = np.tril(np.ones((n, n), dtype=q.data.dtype))
+
+    def apply_mask(s, *_):
+        s *= mask
+        return s
+
+    return _weighted_mix(q, k, v, apply_mask, apply_mask)
+
+
+# --------------------------------------------------------------------------
 # mixer parameter containers
 # --------------------------------------------------------------------------
 
@@ -213,13 +309,12 @@ def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
     """Un-gated linear attention via its masked parallel form.
 
     y_t = sum_{i<=t} (q_t . k_i) v_i, identical to rolling
-    S_t = S_{t-1} + v_t k_t^T with readout S_t q_t.
+    S_t = S_{t-1} + v_t k_t^T with readout S_t q_t. The masked (B, N, N)
+    scores are one ``masked_linear_attention`` node, which keeps them,
+    B*N^2 floats, between the passes; an untaped call keeps nothing.
     """
-    n = x.data.shape[1]
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
-    mask = T.Tensor(np.tril(np.ones((n, n), dtype=x.data.dtype)))
-    scores = q @ T.transpose(k, (0, 2, 1))
-    return ((scores * mask) @ v) @ p.w_o
+    return masked_linear_attention(q, k, v) @ p.w_o
 
 
 @dataclass
@@ -298,7 +393,12 @@ class AttnParams:
 
 
 def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
-    """Multi-head softmax attention under a strict causal mask."""
+    """Multi-head softmax attention under a strict causal mask.
+
+    The (B, h, N, N) scores are one ``softmax_attention`` node, which keeps
+    the weights P, B*h*N^2 floats, between the passes; an untaped call
+    keeps nothing.
+    """
     bsz, n, d = x.data.shape
     h = N_HEADS
     hd = d // h
@@ -306,12 +406,7 @@ def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
     def split(t):
         return T.transpose(T.reshape(t, (bsz, n, h, hd)), (0, 2, 1, 3))
 
-    q, k, v = split(x @ p.w_q), split(x @ p.w_k), split(x @ p.w_v)
-    scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-    neg = np.finfo(x.data.dtype).min / 4.0
-    mask = np.triu(np.full((n, n), neg, dtype=x.data.dtype), k=1)
-    att = T.softmax(scores + T.Tensor(mask), axis=-1)
-    ctx = att @ v
+    ctx = softmax_attention(split(x @ p.w_q), split(x @ p.w_k), split(x @ p.w_v))
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, n, d))
     return ctx @ p.w_o
 

@@ -299,9 +299,10 @@ def min_length(kind: TaskKind) -> int:
 
 def generate_sample(kind: TaskKind, cfg: TaskConfig, seed, index=0) -> TaskSample:
     """Sample ``index`` of ``kind`` under ``seed`` (an int, or a list of
-    ints), drawn from the two seed streams of the module docstring."""
+    ints), drawn from the two seed streams of the module docstring.
+    Raises ConfigError unless ``index`` is an int >= 0."""
     stream, sizes, fill = _task(kind)
-    base = seed_list(seed) + [stream, index]
+    base = seed_list(seed) + [stream, check_int("index", index, 0)]
     payload = np.random.default_rng(base + [0x5EED])
     noise = np.random.default_rng(base + [0x4015E])
     layout = cfg.layout()

@@ -3,7 +3,8 @@
 One run is fully determined by (config, seed): model init, the fresh
 batch drawn at every step, and the held-out evaluation set all derive
 from disjoint seed streams. Loss and accuracy are computed only at query
-positions; accuracy is the exact-argmax match fraction.
+positions; accuracy is the exact-argmax match fraction. Both raise
+ShapeError or DataError for query positions that do not fit the logits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import MetricRecord, RunConfig, check_int, is_a
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .models import ModelKind, build_model
 from .optim import Adam
 from .tasks import TaskConfig, TaskKind, generate_batch, min_length, seed_list
@@ -26,16 +27,36 @@ EVAL_SAMPLES = 1024
 EVAL_BATCH = 128
 
 
+def _check_queries(logits_shape, qpos, targets):
+    """``qpos`` and ``targets`` as arrays, checked against (B, N, V) logits.
+
+    Raises ShapeError unless both are (B, Q) of one shape, and DataError
+    for a position of a non-integer dtype or outside [0, N).
+    """
+    qpos, targets = np.asarray(qpos), np.asarray(targets)
+    bsz, n = logits_shape[:2]
+    if qpos.ndim != 2 or qpos.shape[0] != bsz or targets.shape != qpos.shape:
+        raise ShapeError(f"query positions {qpos.shape} and targets {targets.shape} "
+                         f"must both be (B, Q) with the logits' B = {bsz}")
+    if not np.issubdtype(qpos.dtype, np.integer):
+        raise DataError(f"query positions must be integers, got dtype {qpos.dtype}")
+    if qpos.size and (qpos.min() < 0 or qpos.max() >= n):
+        raise DataError(f"query position out of range [0, {n})")
+    return qpos, targets
+
+
 def query_loss(logits, qpos, targets):
     """Mean cross entropy over query positions only."""
+    qpos, targets = _check_queries(logits.shape, qpos, targets)
     picked = logits[np.arange(logits.shape[0])[:, None], qpos]
     bsz, q, vocab = picked.shape
     flat = T.reshape(picked, (bsz * q, vocab))
-    return T.softmax_cross_entropy(flat, np.asarray(targets).reshape(-1))
+    return T.softmax_cross_entropy(flat, targets.reshape(-1))
 
 
 def query_accuracy(logits_data, qpos, targets):
     """Exact argmax match fraction over query positions."""
+    qpos, targets = _check_queries(logits_data.shape, qpos, targets)
     rows = np.arange(logits_data.shape[0])[:, None]
     picked = logits_data[rows, qpos]
     pred = picked.argmax(axis=-1)

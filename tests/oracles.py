@@ -14,6 +14,8 @@ tests rather than in the package:
     associative composition;
   * the rule-based task oracle, which recovers every probe task's targets
     from the token stream alone;
+  * causal softmax attention and masked linear attention composed of
+    elementary taped ops, the references for the fused score nodes;
   * ``grad_check``: taped gradients against central differences, and
     ``assert_same_bits``;
   * ``assert_chunked_scan_matches_serial``: ``chunked_scan`` against its
@@ -303,6 +305,35 @@ def task_oracle(kind: TaskKind, sample: TaskSample, cfg: TaskConfig) -> np.ndarr
         return np.asarray([pick])
 
     raise ConfigError(f"no oracle for {kind}")
+
+
+# --------------------------------------------------------------------------
+# composed score mixers
+# --------------------------------------------------------------------------
+
+def _transposed(k):
+    """k^T over the last two axes, as a taped transpose."""
+    axes = tuple(range(k.data.ndim))
+    return T.transpose(k, axes[:-2] + (axes[-1], axes[-2]))
+
+
+def composed_softmax_attention(q, k, v):
+    """Causal softmax attention of (..., N, e) heads from elementary taped
+    ops: q k^T, the scale 1 / sqrt(e), the additive mask (finfo.min / 4
+    above the diagonal), softmax, and P v."""
+    n, e = q.data.shape[-2:]
+    dtype = q.data.dtype
+    scores = (q @ _transposed(k)) * (1.0 / np.sqrt(e))
+    mask = np.triu(np.full((n, n), np.finfo(dtype).min / 4.0, dtype=dtype), k=1)
+    return T.softmax(scores + T.Tensor(mask), axis=-1) @ v
+
+
+def composed_linear_attention(q, k, v):
+    """Causally masked linear attention of (..., N, e) inputs from
+    elementary taped ops: q k^T times the 0/1 lower triangle, then @ v."""
+    n = q.data.shape[-2]
+    mask = T.Tensor(np.tril(np.ones((n, n), dtype=q.data.dtype)))
+    return ((q @ _transposed(k)) * mask) @ v
 
 
 # --------------------------------------------------------------------------

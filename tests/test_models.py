@@ -1,16 +1,20 @@
 """Reference update rules and model zoo tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import (Activation, degenerate_closed_form, delta_rule_step,
+from oracles import (Activation, assert_same_bits, composed_linear_attention,
+                     composed_softmax_attention, degenerate_closed_form, delta_rule_step,
                      grad_check, ideal_solver_step, linear_attention_step)
 from prismlab import tensor as T
 from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
-from prismlab.models import (N_EXPERTS, AttnParams, LAParams, MixerBlockParams,
+from prismlab.models import (N_EXPERTS, N_HEADS, AttnParams, LAParams, MixerBlockParams,
                              ModelKind, MoMParams, SequenceModel,
                              blocked_gated_scan, build_model, causal_attention,
-                             gated_la_scan, la_mixer_forward, mom_forward)
+                             gated_la_scan, la_mixer_forward, masked_linear_attention,
+                             mom_forward, softmax_attention)
 
 
 # ---------------------------------------------------------------- LA step
@@ -442,6 +446,104 @@ def test_transformer_block_zero_values_reduces_to_mlp():
     z = T.gelu(z @ blk.mlp_w1 + blk.mlp_b1)
     want = (T.Tensor(x) + (z @ blk.mlp_w2 + blk.mlp_b2)).data
     np.testing.assert_allclose(y, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------- fused score nodes
+
+# (fused node, its composed reference, head axes of its inputs)
+SCORE_NODES = [
+    pytest.param(softmax_attention, composed_softmax_attention, (N_HEADS,), id="softmax"),
+    pytest.param(masked_linear_attention, composed_linear_attention, (), id="linear"),
+]
+
+
+def _score_inputs(rng, heads, n, dtype):
+    """q, k, v of shape (2, *heads, n, 3). With heads they are strided
+    views of (2, n, h, 3) arrays, as causal_attention's split makes them."""
+    return [np.moveaxis(rng.standard_normal((2, n, *heads, 3)).astype(dtype), 1, -2)
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
+def test_score_node_matches_composed_ops_bit_for_bit(fused, composed, heads, dtype, n):
+    rng = np.random.default_rng(30)
+    qkv = _score_inputs(rng, heads, n, dtype)
+    g = T.Tensor(rng.standard_normal(qkv[2].shape).astype(dtype))
+    runs = []
+    for mixer in (composed, fused):
+        ts = [T.Tensor(a, requires_grad=True) for a in qkv]
+        out = mixer(*ts)
+        T.backward((out * g).sum())
+        runs.append([out.data] + [t.grad for t in ts])
+    for want, got in zip(*runs):  # out, then the gradients of q, k and v
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+@pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
+def test_score_node_grad_check(fused, composed, heads, which):
+    rng = np.random.default_rng(31)
+    qkv = [T.Tensor(rng.standard_normal((2, *heads, 5, 3)), requires_grad=True)
+           for _ in range(3)]
+    w = T.Tensor(rng.standard_normal(qkv[0].shape))
+
+    def f(x):
+        args = list(qkv)
+        args[which] = x
+        return (fused(*args) * w).sum()
+    assert grad_check(f, qkv[which]) < 1e-6
+
+
+@pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
+def test_score_node_records_one_node(fused, composed, heads, monkeypatch):
+    nodes = []
+    monkeypatch.setattr(T, "_record", lambda *node: nodes.append(node))
+    qkv = _score_inputs(np.random.default_rng(32), heads, 6, np.float64)
+    ts = [T.Tensor(a, requires_grad=True) for a in qkv]
+    out = fused(*ts)
+    assert out.requires_grad
+    assert len(nodes) == 1
+    assert nodes[0][0] is out and all(a is b for a, b in zip(nodes[0][1], ts))
+    nodes.clear()
+    with T.no_grad():
+        assert not fused(*ts).requires_grad
+    assert not fused(*(T.Tensor(a) for a in qkv)).requires_grad
+    assert nodes == []
+
+
+@pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
+def test_score_node_rejects_mismatched_inputs(fused, composed, heads):
+    q, k, v = (T.Tensor(a) for a in _score_inputs(np.random.default_rng(34), heads, 4,
+                                                     np.float64))
+    for args in ((q, T.Tensor(k.data.astype(np.float32)), v), (q, k, v[..., :2]),
+                 (T.Tensor(np.ones(3)),) * 3):
+        with pytest.raises(ShapeError):
+            fused(*args)
+
+
+@pytest.mark.parametrize("mixer,params,heads", [
+    pytest.param(causal_attention, AttnParams, N_HEADS, id="attention"),
+    pytest.param(la_mixer_forward, LAParams, 1, id="la"),
+])
+def test_taped_mixer_keeps_less_than_two_score_arrays(mixer, params, heads):
+    # After one taped call (float32, B 4, N 256), the arrays the call left
+    # alive -- its output and what its tape nodes keep -- hold fewer bytes
+    # than two (B, h, N, N) score arrays: the scores are kept once, as the
+    # weights the backward needs.
+    bsz, n, d = 4, 256, 16
+    rng = np.random.default_rng(33)
+    p = params.init(rng, d, np.float32)
+    x = T.Tensor(rng.standard_normal((bsz, n, d)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        y = mixer(x, p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        T.backward(y.sum())
+    assert kept < 2 * bsz * heads * n * n * 4
 
 
 # ---------------------------------------------------------------- full models

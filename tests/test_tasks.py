@@ -308,6 +308,13 @@ def test_non_integer_seed_raises_config_error(seed):
         generate_batch(TaskKind.MQAR, TaskConfig(n=32), 2, seed=seed)
 
 
+@pytest.mark.parametrize("index", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_bad_sample_index_raises_config_error(index):
+    # True would be taken as index 1 and draw that sample.
+    with pytest.raises(ConfigError, match="index must be"):
+        generate_sample(TaskKind.MQAR, TaskConfig(n=32), 0, index=index)
+
+
 def test_numpy_integer_seeds_are_ints():
     cfg = TaskConfig(n=32)
     for seed, same in ((np.int64(3), 3), ([np.int32(3), np.uint8(4)], [3, 4])):

@@ -536,9 +536,10 @@ def test_each_primitive_records_one_node(op, shape, monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mul_by_python_float_keeps_dtype_and_bits(dtype):
-    # causal_attention scales its scores by the Python float 1 / sqrt(hd):
-    # value and gradient equal, bit for bit, those of the constant cast to
-    # the tensor's dtype first (1 / sqrt(3) is not a float32).
+    # The composed attention reference in oracles scales its scores by the
+    # Python float 1 / sqrt(e): value and gradient equal, bit for bit, those
+    # of the constant cast to the tensor's dtype first (1 / sqrt(3) is not a
+    # float32).
     rng = np.random.default_rng(21)
     c = 1.0 / math.sqrt(3.0)
     xd, g = (rng.standard_normal((4, 5)).astype(dtype) for _ in range(2))

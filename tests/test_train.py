@@ -5,11 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from prismlab import tensor as T
 from prismlab import train
 from prismlab.config import RunConfig
 from prismlab.models import ModelKind, build_model
 from prismlab.tasks import TaskConfig, TaskKind
-from prismlab.errors import ConfigError, NumericError
+from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
 
 
 def small(**kw):
@@ -99,6 +100,39 @@ def test_numpy_integer_seed_trains_as_the_int():
     got = train.run_training(cfg, np.int64(2), eval_samples=4).final
     assert (got.loss, got.accuracy, got.run_id) == (want.loss, want.accuracy, want.run_id)
     assert type(got.seed) is int
+
+
+def _score(score, qpos, targets):
+    # (2, 8, 5) logits; query_loss gets them as a tensor, query_accuracy raw.
+    logits = np.random.default_rng(3).standard_normal((2, 8, 5))
+    if score is train.query_loss:
+        return score(T.Tensor(logits), qpos, targets)
+    return score(logits, qpos, targets)
+
+
+SCORES = [pytest.param(train.query_loss, id="loss"),
+          pytest.param(train.query_accuracy, id="accuracy")]
+
+
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("pos", [-1, 8], ids=["negative", "past-end"])
+def test_query_position_out_of_range_raises_data_error(score, pos):
+    # -1 used to score position N - 1; N raised a bare IndexError.
+    with pytest.raises(DataError, match="out of range"):
+        _score(score, np.array([[pos], [2]]), np.array([[1], [2]]))
+
+
+@pytest.mark.parametrize("score", SCORES)
+def test_non_integer_query_position_raises_data_error(score):
+    with pytest.raises(DataError, match="must be integers"):
+        _score(score, np.array([[3.0], [2.0]]), np.array([[1], [2]]))
+
+
+@pytest.mark.parametrize("score", SCORES)
+def test_query_positions_and_targets_of_different_shapes_raise_shape_error(score):
+    # Equal sizes: the loss used to flatten both and score them.
+    with pytest.raises(ShapeError):
+        _score(score, np.array([[3, 4], [2, 5]]), np.array([1, 2, 3, 4]))
 
 
 def test_non_finite_loss_raises_with_step():
