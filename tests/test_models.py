@@ -1,5 +1,6 @@
 """Reference update rules and model zoo tests."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -556,6 +557,32 @@ def test_models_produce_logits(kind):
     assert logits.shape == (2, 32, 64)
     assert np.isfinite(logits.data).all()
 
+
+# sha256 over the parameter bytes of build_model(kind, seed=[5, 0]) at d 16.
+INIT_DIGESTS = {
+    ("prism", "float32"): "f722e7aefd4602a505923482fff4f20fade36aa11aedf124d4923530bb1a972e",
+    ("prism", "float64"): "ad80daf696681dfc3c9ee442ea8b9802e2c6a863100827de49da0ab62b96b846",
+    ("la", "float32"): "ef6790a7ce9035d1c177ec301cde91e966bd50df50fbeed6412a923c1b6795b0",
+    ("la", "float64"): "b526c030bfaa7ddc86b0434de67e92da5217720f3fe00ad3d79a7a18be09399f",
+    ("mom", "float32"): "cb8f15d1d3ff522edefa7346ad70957e54d7e63914274f07f540b62b046d7049",
+    ("mom", "float64"): "0f04d22add6e43a1e6797ad3a87a4472a75cbf166c5a4ffe9bc3fc29a3fcf334",
+    ("transformer", "float32"):
+        "0a55d6ea88149785aeb6c0c655cf840516339aebb9baa203fbf6b5ba91561faa",
+    ("transformer", "float64"):
+        "39b375b963cb08a8765947fc69b7239974091c745b84c85a12abdd32cd167bc0",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_init_matches_pinned_digests(kind, dtype):
+    """Every parameter of a fresh model stays bit-identical: the draws keep
+    their order and their scaling. Init uses only rng draws and elementwise
+    scaling, no BLAS, so the digest does not depend on the machine."""
+    h = hashlib.sha256()
+    for p in build_model(kind, seed=[5, 0], dtype=dtype).params():
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[kind.value, np.dtype(dtype).name]
 
 def test_prism_param_count_matches_hand_sum():
     model = build_model(ModelKind.PRISM, d=16, vocab=64, n_ctx=128, L=2)
