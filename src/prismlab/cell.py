@@ -31,6 +31,10 @@ one fused tape node with a hand-derived backward each:
     first bad step.
 
 Both scans raise ShapeError for inputs that do not fit together.
+
+This module holds the layer only. In a model, PRISM is one more mixer of
+``models.MixerBlockParams``, the pre-norm residual block every model uses:
+the block runs ``chunked_forward`` and mixes with its y.
 """
 
 from __future__ import annotations
@@ -644,55 +648,3 @@ def chunked_scan_forward(x: Tensor, params: PrismParams, cfg: PrismConfig):
     with T.no_grad():
         return chunked_forward(x, params, cfg)
 
-
-# --------------------------------------------------------------------------
-# residual block
-# --------------------------------------------------------------------------
-
-@dataclass
-class PrismBlockParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    prism: PrismParams
-    ln2_g: Tensor
-    ln2_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-
-    @classmethod
-    def init(cls, rng, cfg: PrismConfig, dtype=np.float64):
-        d = cfg.d
-        h = 4 * d
-        return cls(
-            ln1_g=T.ones(d, dtype=dtype, requires_grad=True),
-            ln1_b=T.zeros(d, dtype=dtype, requires_grad=True),
-            prism=PrismParams.init(rng, cfg, dtype=dtype),
-            ln2_g=T.ones(d, dtype=dtype, requires_grad=True),
-            ln2_b=T.zeros(d, dtype=dtype, requires_grad=True),
-            mlp_w1=T.Tensor((rng.standard_normal((d, h)) / np.sqrt(d)).astype(dtype),
-                            requires_grad=True),
-            mlp_b1=T.zeros(h, dtype=dtype, requires_grad=True),
-            mlp_w2=T.Tensor((rng.standard_normal((h, d)) / np.sqrt(h)).astype(dtype),
-                            requires_grad=True),
-            mlp_b2=T.zeros(d, dtype=dtype, requires_grad=True),
-        )
-
-    def params(self):
-        yield self.ln1_g
-        yield self.ln1_b
-        yield from self.prism.params()
-        yield self.ln2_g
-        yield self.ln2_b
-        yield from (self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
-
-
-def prism_block_forward(x: Tensor, block: PrismBlockParams, cfg: PrismConfig) -> Tensor:
-    """Pre-normalized residual block: mixer then a gelu MLP (hidden 4d)."""
-    mixed, _ = chunked_forward(T.layernorm(x, block.ln1_g, block.ln1_b),
-                               block.prism, cfg)
-    h = x + mixed
-    z = T.layernorm(h, block.ln2_g, block.ln2_b)
-    z = T.gelu(z @ block.mlp_w1 + block.mlp_b1)
-    return h + (z @ block.mlp_w2 + block.mlp_b2)

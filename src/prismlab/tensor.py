@@ -7,12 +7,15 @@ The ops are the ones the models run: ``Tensor`` (``+``, ``*``, ``@``,
 ``reshape``, ``transpose``, ``tsum``, and ``custom_op`` and
 ``custom_op_multi`` for fused kernels with a hand-derived backward.
 
-Every op, elementary or fused, builds its node through ``custom_op`` (or
-``custom_op_multi`` for several outputs): it computes its output array and
-a backward closure on raw arrays, and ``custom_op`` decides whether to tape.
-The graph is a flat tape: every differentiable operation appends one node
-in execution order, and ``backward`` walks the tape strictly in reverse,
-accumulating (summing) gradients into every tensor that contributed.
+Every op, elementary or fused, builds its node through ``custom_op_multi``
+(``custom_op`` is its one-output form): it computes its output arrays and
+a backward closure on raw arrays, and ``custom_op_multi`` decides whether
+to tape. The graph is a flat tape: every differentiable operation appends
+one node in execution order, and every node has one form, (outputs,
+inputs, backward) with the outputs a tuple, one entry for a one-output
+op. ``backward`` walks the tape strictly in reverse, accumulating
+(summing) gradients into every tensor with ``requires_grad`` that
+contributed.
 A tape is consumable exactly once; the next recorded operation starts a
 fresh one. The tape and the ``no_grad`` switch are module state, one per
 process: graphs are built and consumed one at a time, and parallel work
@@ -32,7 +35,7 @@ from .errors import DataError, ShapeError, UsageError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_tape = []          # (out, inputs, backward_fn) nodes in execution order
+_tape = []          # (outs, inputs, backward_fn) nodes in execution order
 _grad_enabled = True
 
 
@@ -50,10 +53,11 @@ class no_grad:
         return False
 
 
-def _record(out, inputs, backward_fn):
-    """Append one tape node. ``backward_fn(g)`` returns one gradient
-    array (or None) per input, aligned with ``inputs``."""
-    _tape.append((out, inputs, backward_fn))
+def _record(outs, inputs, backward_fn):
+    """Append one tape node. ``backward_fn(*gs)``, given one gradient per
+    output in ``outs``, returns one gradient array (or None) per input,
+    aligned with ``inputs``."""
+    _tape.append((outs, inputs, backward_fn))
 
 
 class Tensor:
@@ -149,8 +153,13 @@ def ones(shape, dtype=np.float64, requires_grad=False):
 def add(a, b):
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "add")
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} "
+                         f"do not broadcast") from None
     na, nb = a.requires_grad, b.requires_grad
-    return custom_op(a.data + b.data, (a, b), lambda g: (
+    return custom_op(out, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape) if na else None,
         _unbroadcast(g, b.data.shape) if nb else None))
 
@@ -159,8 +168,12 @@ def mul(a, b):
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "mul")
     ad, bd = a.data, b.data
+    try:
+        out = ad * bd
+    except ValueError:
+        raise ShapeError(f"mul: shapes {ad.shape} and {bd.shape} do not broadcast") from None
     na, nb = a.requires_grad, b.requires_grad
-    return custom_op(ad * bd, (a, b), lambda g: (
+    return custom_op(out, (a, b), lambda g: (
         _unbroadcast(g * bd, ad.shape) if na else None,
         _unbroadcast(g * ad, bd.shape) if nb else None))
 
@@ -376,11 +389,20 @@ def take_slice(x, key):
 
 
 def reshape(x, shape):
-    return custom_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {x.data.shape} to {shape}") from None
+    return custom_op(out, (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def transpose(x, axes=None):
-    return custom_op(np.transpose(x.data, axes), (x,), lambda g: (
+    try:
+        out = np.transpose(x.data, axes)
+    except ValueError:  # numpy's AxisError is one too
+        raise ShapeError(f"transpose: axes {axes} are not a permutation of the "
+                         f"{x.data.ndim} axes of {x.data.shape}") from None
+    return custom_op(out, (x,), lambda g: (
         np.transpose(g, None if axes is None else np.argsort(axes)),))
 
 
@@ -394,25 +416,21 @@ def tsum(x, axis=None):
 
 
 def custom_op(out_data, inputs, backward_fn):
-    """Wrap ``out_data`` in a Tensor and tape it when any input wants grad.
-
-    ``backward_fn(g)`` must return one array (or None) per input tensor.
-    Every single-output op builds its node here: the elementary ops above
-    and the fused scan kernels, whose hand-derived backward passes replace
-    dozens of per-step elementary nodes. Without a tape the closure is
-    dropped unrun.
+    """``custom_op_multi`` for an op with one output: wraps ``out_data`` in
+    a Tensor, and ``backward_fn(g)`` returns one array (or None) per input.
+    Every one-output op builds its node here: the elementary ops above and
+    the fused kernels, whose hand-derived backward passes replace dozens of
+    per-step elementary nodes.
     """
-    out = Tensor(out_data, requires_grad=_wants_grad(*inputs))
-    if out.requires_grad:
-        _record(out, tuple(inputs), backward_fn)
-    return out
+    return custom_op_multi((out_data,), inputs, backward_fn)[0]
 
 
 def custom_op_multi(out_datas, inputs, backward_fn):
-    """Like ``custom_op`` for kernels with several outputs.
+    """Wrap each of ``out_datas`` in a Tensor and tape one node for them
+    when any input wants grad. Without a tape the closure is dropped unrun.
 
     ``backward_fn(*gs)`` receives one gradient array per output (zeros when
-    an output was unused) and returns one array/None per input.
+    an output was unused) and returns one array (or None) per input.
     """
     req = _wants_grad(*inputs)
     outs = tuple(Tensor(d, requires_grad=req) for d in out_datas)
@@ -425,8 +443,10 @@ def backward(loss):
     """Reverse-sweep the active tape from a scalar loss.
 
     Every tensor with ``requires_grad`` that contributed to ``loss``
-    receives (accumulates) its gradient. The tape is then consumed: each
-    node, with the arrays its backward holds, is dropped once that has run.
+    receives (accumulates) its gradient; a tensor without it receives
+    none, even where a backward returns one for it. The tape is then
+    consumed: each node, with the arrays its backward holds, is dropped
+    once that has run.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -439,21 +459,13 @@ def backward(loss):
         return
     loss.grad = np.ones_like(loss.data)
     while nodes:
-        out, inputs, back = nodes.pop()
-        if isinstance(out, tuple):
-            gs = [o.grad for o in out]
-            if all(g is None for g in gs):
-                continue
-            gs = [np.zeros_like(o.data) if g is None else g
-                  for o, g in zip(out, gs)]
-            grads = back(*gs)
-        else:
-            g = out.grad
-            if g is None:
-                continue
-            grads = back(g)
+        outs, inputs, back = nodes.pop()
+        gs = [o.grad for o in outs]
+        if all(g is None for g in gs):
+            continue
+        grads = back(*(np.zeros_like(o.data) if g is None else g for o, g in zip(outs, gs)))
         for inp, gi in zip(inputs, grads):
-            if gi is None:
+            if gi is None or not inp.requires_grad:
                 continue
             if gi.dtype != inp.data.dtype:
                 gi = gi.astype(inp.data.dtype)

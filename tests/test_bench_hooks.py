@@ -60,3 +60,32 @@ def test_tracer_patches_and_restores_every_name(bench):
     with suite._UntapedOps(pl.tensor):
         assert pl.tensor.custom_op is not hooks[0]
     assert (pl.tensor.custom_op, pl.tensor.custom_op_multi) == hooks
+
+
+def test_prism_blocks_open_block_spans_around_the_layer_stages(bench):
+    # The traced run reads models.block_self_ms.prism from the block spans:
+    # each of the two PRISM blocks opens one, apart from the other, and the
+    # layer's stages run inside them.
+    pl, spans, _ = bench
+    tracer = spans.Tracer()
+    tracer.install(pl)
+    try:
+        model = pl.models.build_model(pl.models.ModelKind.PRISM, d=8, vocab=16, n_ctx=12)
+        model.forward(np.random.default_rng(2).integers(0, 16, (2, 12)))
+    finally:
+        tracer.uninstall()
+
+    def enclosing(i):
+        """The indices of the spans open around span i."""
+        out = set()
+        while (i := tracer.spans[i].parent) is not None:
+            out.add(i)
+        return out
+
+    blocks = [i for i, s in enumerate(tracer.spans) if s.name == "models.block"]
+    assert len(blocks) == 2
+    assert blocks[0] not in enclosing(blocks[1]) and blocks[1] not in enclosing(blocks[0])
+    stages = ("cell.compute_anchor", "cell.compute_step_terms", "cell.rank_accumulate")
+    for blk in blocks:
+        inside = {s.name for i, s in enumerate(tracer.spans) if blk in enclosing(i)}
+        assert set(stages) <= inside, inside

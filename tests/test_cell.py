@@ -14,13 +14,12 @@ from oracles import (TransitionPair, assert_chunked_scan_matches_serial,
                      sigmoid_where)
 from prismlab import cell
 from prismlab import tensor as T
-from prismlab.cell import (PrismBlockParams, PrismConfig, PrismParams,
-                           StepTerms, chunked_forward, chunked_scan,
-                           chunked_scan_forward, compute_anchor,
-                           compute_step_terms, prism_block_forward,
-                           rank_accumulate, scale_into_unit_ball, scan_core,
-                           serial_forward)
+from prismlab.cell import (PrismConfig, PrismParams, StepTerms, chunked_forward,
+                           chunked_scan, chunked_scan_forward, compute_anchor,
+                           compute_step_terms, rank_accumulate,
+                           scale_into_unit_ball, scan_core, serial_forward)
 from prismlab.errors import ConfigError, NumericError, ShapeError
+from prismlab.models import MixerBlockParams
 from prismlab.tensor import Tensor
 
 
@@ -725,6 +724,17 @@ def test_chunked_scan_state_overflow_reports_chunk_end():
         assert exc.value.step == 5
 
 
+def test_chunked_scan_leaves_an_untaped_start_state_without_grad():
+    # The scan's backward returns a gradient for s0 too; s0 asked for none.
+    arrays = _scan_arrays(np.random.default_rng(51), 2, 6, 3, 2)
+    ts = {name: T.Tensor(a, requires_grad=name != "s0") for name, a in arrays.items()}
+    out, s_n = chunked_scan(ts["alpha"], ts["beta1"], ts["k"], ts["c"], ts["q"], ts["s0"],
+                            chunk=4)
+    T.backward(out.sum() + s_n.sum())
+    assert ts["s0"].grad is None
+    assert all(t.grad is not None for name, t in ts.items() if name != "s0")
+
+
 def test_chunked_scan_alpha_zero_matches_serial():
     # log 0 must not turn into NaN, and the gradient at alpha = 0 is the
     # serial one, <G_t, S_{t-1} - beta1 m k1^T>, not a 0 / 0.
@@ -986,31 +996,38 @@ def test_refinement_lipschitz_bound():
 
 # ---------------------------------------------------------------- block
 
+def prism_block(rng, cfg):
+    """A float64 PRISM residual block: the layer as a ``MixerBlockParams``
+    mixer, mixing with ``chunked_forward``'s y."""
+    return MixerBlockParams.init(rng, cfg.d, PrismParams.init(rng, cfg),
+                                 lambda x, p: chunked_forward(x, p, cfg)[0], np.float64)
+
+
 def test_block_zero_output_projections_identity():
     cfg, _, rng = make({"d": 6}, seed=26)
-    block = PrismBlockParams.init(rng, cfg)
-    block.prism.w_o.data[:] = 0.0
+    block = prism_block(rng, cfg)
+    block.mixer.w_o.data[:] = 0.0
     block.mlp_w2.data[:] = 0.0
     x = rng.standard_normal((1, 9, 6))
-    y = prism_block_forward(T.Tensor(x), block, cfg)
+    y = block.forward(T.Tensor(x))
     np.testing.assert_array_equal(y.data, x)
 
 
 def test_block_shape_preserved_and_grad_reaches_conv():
     cfg, _, rng = make({"d": 6}, seed=27)
-    block = PrismBlockParams.init(rng, cfg)
+    block = prism_block(rng, cfg)
     x = T.Tensor(rng.standard_normal((1, 7, 6)), requires_grad=True)
-    y = prism_block_forward(x, block, cfg)
+    y = block.forward(x)
     assert y.shape == (1, 7, 6)
     T.backward((y * y).sum())
-    assert block.prism.conv.grad is not None
-    assert np.abs(block.prism.conv.grad).max() > 0
+    assert block.mixer.conv.grad is not None
+    assert np.abs(block.mixer.conv.grad).max() > 0
 
 
 def test_block_gradcheck_small():
     cfg = PrismConfig(d=3, L=2, w=2, chunk=2)
     rng = np.random.default_rng(28)
-    block = PrismBlockParams.init(rng, cfg)
+    block = prism_block(rng, cfg)
     x = T.Tensor(rng.standard_normal((1, 4, 3)), requires_grad=True)
-    err = grad_check(lambda t: prism_block_forward(t, block, cfg).sum(), x)
+    err = grad_check(lambda t: block.forward(t).sum(), x)
     assert err < 1e-4

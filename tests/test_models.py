@@ -506,12 +506,22 @@ def test_score_node_records_one_node(fused, composed, heads, monkeypatch):
     out = fused(*ts)
     assert out.requires_grad
     assert len(nodes) == 1
-    assert nodes[0][0] is out and all(a is b for a, b in zip(nodes[0][1], ts))
+    assert nodes[0][0] == (out,) and all(a is b for a, b in zip(nodes[0][1], ts))
     nodes.clear()
     with T.no_grad():
         assert not fused(*ts).requires_grad
     assert not fused(*(T.Tensor(a) for a in qkv)).requires_grad
     assert nodes == []
+
+
+@pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
+def test_score_node_leaves_untaped_inputs_without_grad(fused, composed, heads):
+    # The node's backward returns dq, dk and dv; only q asked for one.
+    q, k, v = _score_inputs(np.random.default_rng(35), heads, 5, np.float64)
+    q, k, v = T.Tensor(q, requires_grad=True), T.Tensor(k), T.Tensor(v)
+    T.backward(fused(q, k, v).sum())
+    assert q.grad is not None
+    assert k.grad is None and v.grad is None
 
 
 @pytest.mark.parametrize("fused,composed,heads", SCORE_NODES)
@@ -646,6 +656,13 @@ def test_oracle_kinds_not_trainable():
         ModelKind.parse("delta")
 
 
+@pytest.mark.parametrize("name", ["trans", "linear_attention"])
+def test_model_kind_parse_accepts_only_the_kind_values(name):
+    with pytest.raises(ConfigError, match="unknown model kind"):
+        ModelKind.parse(name)
+    assert [ModelKind.parse(f" {k.value.upper()}") for k in ModelKind] == list(ModelKind)
+
+
 def test_model_kind_parse_rejects_non_string():
     with pytest.raises(ConfigError, match="model kind must be a name"):
         ModelKind.parse(None)
@@ -695,7 +712,7 @@ def test_load_state_dict_rejects_per_pair_prism_layout():
     # (d, d) w_k and w_p block and one (d,) w_beta column per pair.
     model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, L=2, seed=5)
     old = {}
-    for prism in (blk.prism for blk in model.blocks):
+    for prism in (blk.mixer for blk in model.blocks):
         old[id(prism.w_alpha)] = [prism.w_alpha.data[:, 0]]
         old[id(prism.w_k)] = np.split(prism.w_k.data, 2, axis=1)
         old[id(prism.w_p)] = np.split(prism.w_p.data, 2, axis=1)
@@ -714,7 +731,7 @@ def test_non_integer_size_raises_config_error(kind):
 @pytest.mark.parametrize("block", [0, 1])
 def test_numeric_error_names_block_and_step(block):
     model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=7)
-    model.blocks[block].prism.w_v.data[0, 0] = np.inf
+    model.blocks[block].mixer.w_v.data[0, 0] = np.inf
     tokens = np.random.default_rng(8).integers(0, 16, (2, 8))
     with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
         model.forward(tokens)

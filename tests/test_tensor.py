@@ -62,6 +62,23 @@ def test_matmul_refuses_a_vector_right_operand():
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones(3)))
 
 
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+def test_unbroadcastable_operands_raise_shape_error(op):
+    with pytest.raises(ShapeError, match=r"shapes \(2, 3\) and \(4,\) do not broadcast"):
+        op(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones(4)))
+
+
+def test_reshape_to_another_size_raises_shape_error():
+    with pytest.raises(ShapeError, match=r"cannot reshape \(2, 3\) to \(4,\)"):
+        T.reshape(T.Tensor(np.ones((2, 3))), (4,))
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (0, 2), (0,)], ids=["repeated", "out-of-range", "short"])
+def test_transpose_with_bad_axes_raises_shape_error(axes):
+    with pytest.raises(ShapeError, match="not a permutation"):
+        T.transpose(T.Tensor(np.ones((2, 3))), axes)
+
+
 def test_matmul_dtype_mismatch():
     with pytest.raises(ShapeError):
         T.matmul(T.Tensor(np.ones((2, 2)), dtype=np.float32),
@@ -526,7 +543,7 @@ def test_each_primitive_records_one_node(op, shape, monkeypatch):
     out = op(x)
     assert out.requires_grad
     assert len(nodes) == 1
-    assert nodes[0][0] is out and any(inp is x for inp in nodes[0][1])
+    assert nodes[0][0] == (out,) and any(inp is x for inp in nodes[0][1])
     nodes.clear()
     with T.no_grad():
         assert not op(x).requires_grad
