@@ -1,6 +1,7 @@
 """Reference update rules and model zoo tests."""
 
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -674,6 +675,14 @@ def test_non_model_kind_raises_config_error(kind):
     # attention without positional embeddings.
     with pytest.raises(ConfigError, match="must be a ModelKind"):
         build_model(kind)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_model_pickle_round_trip(kind):
+    model = build_model(kind, d=8, vocab=16, n_ctx=8, seed=9)
+    tokens = np.random.default_rng(10).integers(0, 16, (2, 8))
+    copy = pickle.loads(pickle.dumps(model))
+    np.testing.assert_array_equal(copy.forward(tokens).data, model.forward(tokens).data)
 
 
 def test_state_dict_round_trip():
