@@ -466,8 +466,9 @@ class MixerBlockParams:
     def forward(self, x):
         # ``mixed`` lives until the block returns. Freed right after the add,
         # it changes which large buffers the allocator hands back for reuse:
-        # a PRISM eval forward at B 128, N 128 (float32) then faults in 18%
-        # more pages, 21.3k against 18.0k per call, and runs about 5% slower.
+        # a PRISM eval forward at B 128, N 128 (float32, one BLAS thread, on
+        # a 2-core VM) then faults in 21.3k pages per call against 18.0k and
+        # runs 5-7% slower.
         mixed = self.mixer_fn(T.layernorm(x, self.ln1_g, self.ln1_b), self.mixer)
         h = x + mixed
         z = T.layernorm(h, self.ln2_g, self.ln2_b)

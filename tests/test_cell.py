@@ -1,6 +1,7 @@
 """PRISM cell tests: naive rollout oracle, scan equivalence, transition
 algebra, spectrum and rank structure, loop stability."""
 
+import functools
 import gc
 import warnings
 import weakref
@@ -19,7 +20,7 @@ from prismlab.cell import (PrismConfig, PrismParams, StepTerms, chunked_forward,
                            compute_step_terms, rank_accumulate,
                            scale_into_unit_ball, scan_core, serial_forward)
 from prismlab.errors import ConfigError, NumericError, ShapeError
-from prismlab.models import MixerBlockParams
+from prismlab.models import MixerBlockParams, _prism_mixer
 from prismlab.tensor import Tensor
 
 
@@ -997,10 +998,10 @@ def test_refinement_lipschitz_bound():
 # ---------------------------------------------------------------- block
 
 def prism_block(rng, cfg):
-    """A float64 PRISM residual block: the layer as a ``MixerBlockParams``
-    mixer, mixing with ``chunked_forward``'s y."""
+    """A float64 PRISM residual block, built as ``SequenceModel`` builds one:
+    the layer as a ``MixerBlockParams`` mixer."""
     return MixerBlockParams.init(rng, cfg.d, PrismParams.init(rng, cfg),
-                                 lambda x, p: chunked_forward(x, p, cfg)[0], np.float64)
+                                 functools.partial(_prism_mixer, cfg=cfg), np.float64)
 
 
 def test_block_zero_output_projections_identity():
