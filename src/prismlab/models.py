@@ -8,7 +8,10 @@ attention (the full-rank upper bound). Every mixer maps a (B, N, d) batch
 to (B, N, d), and every block is a ``MixerBlockParams`` holding its mixer's
 weights and function; PRISM's function is ``cell.chunked_forward``, whose
 final state the block drops. Only the transformer receives positional
-embeddings; the recurrent mixers get order from their scans.
+embeddings; the recurrent mixers get order from their scans. Given (B, Q)
+query positions ``at``, ``SequenceModel.forward`` runs the last block's
+MLP, the final layernorm and the head at those B*Q rows only, which is
+all that evaluation scores.
 
 The transformer's and LA's (N, N) scores are one tape node each, both built
 by ``_weighted_mix`` and differing only in the score map:
@@ -463,7 +466,11 @@ class MixerBlockParams:
         yield self.ln2_b
         yield from (self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
-    def forward(self, x):
+    def forward(self, x, at=None):
+        """(B, N, d) -> (B, N, d); with ``at``, (B, Q) positions checked by
+        ``check_positions``, -> (B*Q, d): the residual stream is gathered at
+        those rows right after the mixer's residual add, so that LN2 and
+        the MLP run on them only."""
         # ``mixed`` lives until the block returns. Freed right after the add,
         # it changes which large buffers the allocator hands back for reuse:
         # a PRISM eval forward at B 128, N 128 (float32, one BLAS thread, on
@@ -471,6 +478,11 @@ class MixerBlockParams:
         # runs 5-7% slower.
         mixed = self.mixer_fn(T.layernorm(x, self.ln1_g, self.ln1_b), self.mixer)
         h = x + mixed
+        if at is not None:
+            # One (B*Q, d) matrix, not (B, Q, d): numpy multiplies a Q = 1
+            # slice as a vector, whose BLAS sums round unlike the matrix
+            # product of the full (B, N, d) path, by the last bit.
+            h = h[np.repeat(np.arange(at.shape[0]), at.shape[1]), at.reshape(-1)]
         z = T.layernorm(h, self.ln2_g, self.ln2_b)
         z = T.gelu(z @ self.mlp_w1 + self.mlp_b1)
         return h + (z @ self.mlp_w2 + self.mlp_b2)
@@ -479,6 +491,23 @@ class MixerBlockParams:
 # ``prismbench/spans.py`` patches this name and fails without it. Nothing
 # else calls it; it goes together with that hook.
 prism_block_forward = MixerBlockParams.forward
+
+
+def check_positions(at, bsz, n):
+    """``at`` as an array of (B, Q) positions into B sequences of length N.
+
+    Raises ShapeError unless ``at`` is (B, Q) for the given B, and
+    DataError for a non-integer dtype or a position outside [0, N): a
+    negative position is refused, never wrapped.
+    """
+    at = np.asarray(at)
+    if at.ndim != 2 or at.shape[0] != bsz:
+        raise ShapeError(f"query positions must be (B, Q) with B = {bsz}, got {at.shape}")
+    if not np.issubdtype(at.dtype, np.integer):
+        raise DataError(f"query positions must be integers, got dtype {at.dtype}")
+    if at.size and (at.min() < 0 or at.max() >= n):
+        raise DataError(f"query position out of range [0, {n})")
+    return at
 
 
 class ModelKind(enum.Enum):
@@ -545,8 +574,19 @@ class SequenceModel:
         yield self.lnf_b
         yield self.head
 
-    def forward(self, tokens):
-        """tokens: (B, N) integer ids in [0, vocab), N >= 1 -> logits (B, N, V)."""
+    def forward(self, tokens, at=None):
+        """tokens: (B, N) integer ids in [0, vocab), N >= 1 -> logits (B, N, V).
+
+        With ``at``, (B, Q) integer positions in [0, N), returns the (B, Q, V)
+        logits at those positions only: the last block's MLP, the final
+        layernorm and the head run on B*Q rows instead of B*N. They equal
+        the full logits at ``at`` bit for bit whenever B*Q >= 2 (a single
+        row is multiplied as a vector, which may round differently), and a
+        loss through them gives the parameters the gradients of the same
+        loss through the full logits. An ``at`` that is not (B, Q) for the
+        tokens' B raises ShapeError; a non-integer dtype or a position
+        outside [0, N) raises DataError.
+        """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (B, N), got {tokens.shape}")
@@ -559,17 +599,21 @@ class SequenceModel:
             raise DataError(f"token ids must be integers, got dtype {tokens.dtype}")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
             raise DataError(f"token id out of range [0, {self.vocab})")
+        if at is not None:
+            at = check_positions(at, tokens.shape[0], n)
         x = self.embedding[tokens]
         if self.pos is not None:
             x = x + self.pos[:n]
+        last = len(self.blocks) - 1
         for idx, blk in enumerate(self.blocks):
             try:
-                x = blk.forward(x)
+                x = blk.forward(x, at=at if idx == last else None)
             except NumericError as exc:
                 exc.block = idx
                 raise
         x = T.layernorm(x, self.lnf_g, self.lnf_b)
-        return x @ self.head
+        logits = x @ self.head
+        return logits if at is None else T.reshape(logits, at.shape + (self.vocab,))
 
     # -- persistence ----------------------------------------------------
     def state_dict(self):

@@ -280,7 +280,10 @@ def silu(x):
 
 def softmax(x, axis=-1):
     xd = x.data
-    m = xd.max(axis=axis, keepdims=True)
+    try:
+        m = xd.max(axis=axis, keepdims=True)
+    except ValueError:  # numpy's AxisError is one
+        raise ShapeError(f"softmax: axis {axis} is out of range for {xd.shape}") from None
     e = np.exp(xd - m)
     s = e / e.sum(axis=axis, keepdims=True)
 
@@ -332,14 +335,18 @@ def causal_depthwise_conv1d(x, kernel):
 
 
 def layernorm(x, gain, bias, eps=1e-5):
-    """Standardize over the last axis, then apply the affine (gain, bias)."""
+    """Standardize over the last axis, then apply the affine (gain, bias),
+    which must both be (d,) for an input of last axis d."""
     xd = x.data
+    d, gd = xd.shape[-1], gain.data
+    if gd.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"layernorm: gain {gd.shape} and bias {bias.data.shape} "
+                         f"must both be ({d},) for input {xd.shape}")
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     xhat = xc * inv
-    d, gd = xd.shape[-1], gain.data
 
     def back(g):
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
@@ -381,11 +388,16 @@ def softmax_cross_entropy(logits, targets):
 
 
 def take_slice(x, key):
+    try:
+        out = x.data[key]
+    except IndexError as exc:
+        raise ShapeError(f"take_slice: {exc}, in a tensor of shape {x.data.shape}") from None
+
     def back(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, key, g)
         return (gx,)
-    return custom_op(x.data[key], (x,), back)
+    return custom_op(out, (x,), back)
 
 
 def reshape(x, shape):
@@ -407,12 +419,17 @@ def transpose(x, axes=None):
 
 
 def tsum(x, axis=None):
+    try:
+        out = np.asarray(x.data.sum(axis=axis))
+    except ValueError:  # numpy's AxisError is one
+        raise ShapeError(f"tsum: axis {axis} is out of range for {x.data.shape}") from None
+
     def back(g):
         if axis is None:
             return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
         g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
-    return custom_op(np.asarray(x.data.sum(axis=axis)), (x,), back)
+    return custom_op(out, (x,), back)
 
 
 def custom_op(out_data, inputs, backward_fn):

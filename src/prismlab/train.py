@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import MetricRecord, RunConfig, check_int, is_a
-from .errors import ConfigError, DataError, NumericError, ShapeError
-from .models import ModelKind, build_model
+from .errors import ConfigError, NumericError, ShapeError
+from .models import ModelKind, build_model, check_positions
 from .optim import Adam
 from .tasks import TaskConfig, TaskKind, generate_batch, min_length, seed_list
 
@@ -31,17 +31,14 @@ def _check_queries(logits_shape, qpos, targets):
     """``qpos`` and ``targets`` as arrays, checked against (B, N, V) logits.
 
     Raises ShapeError unless both are (B, Q) of one shape, and DataError
-    for a position of a non-integer dtype or outside [0, N).
+    for a position of a non-integer dtype or outside [0, N), as
+    ``check_positions`` does for ``SequenceModel.forward``.
     """
-    qpos, targets = np.asarray(qpos), np.asarray(targets)
-    bsz, n = logits_shape[:2]
-    if qpos.ndim != 2 or qpos.shape[0] != bsz or targets.shape != qpos.shape:
+    targets = np.asarray(targets)
+    qpos = check_positions(qpos, *logits_shape[:2])
+    if targets.shape != qpos.shape:
         raise ShapeError(f"query positions {qpos.shape} and targets {targets.shape} "
-                         f"must both be (B, Q) with the logits' B = {bsz}")
-    if not np.issubdtype(qpos.dtype, np.integer):
-        raise DataError(f"query positions must be integers, got dtype {qpos.dtype}")
-    if qpos.size and (qpos.min() < 0 or qpos.max() >= n):
-        raise DataError(f"query position out of range [0, {n})")
+                         f"must both be (B, Q)")
     return qpos, targets
 
 
@@ -65,7 +62,15 @@ def query_accuracy(logits_data, qpos, targets):
 
 def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPLES):
     """Held-out evaluation on freshly generated samples. ``seed`` is an
-    int or a list of ints, as in ``generate_batch``."""
+    int or a list of ints, as in ``generate_batch``.
+
+    Only the query rows are scored, so the top of the network (the last
+    block's MLP, the final layernorm and the head) runs at the B*Q query
+    positions through ``model.forward(tokens, at=qpos)``, not at all B*N.
+    ``query_loss`` and ``query_accuracy`` score those (B, Q, V) rows, whose
+    query j sits at row j, and the result equals theirs on the full logits
+    bit for bit whenever a batch holds two or more query rows.
+    """
     if not is_a(n_samples, numbers.Integral):
         raise ConfigError(f"evaluation needs an int n_samples, got {n_samples!r}")
     if n_samples < 1:
@@ -77,10 +82,12 @@ def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPL
         while done < n_samples:
             b = min(EVAL_BATCH, n_samples - done)
             tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=seed_list(seed) + [done])
-            logits = model.forward(tokens)
-            loss = query_loss(logits, qpos, tgt)
+            logits = model.forward(tokens, at=qpos)
+            # Query j of a sample is row j of its (Q, V) logits.
+            at_rows = np.broadcast_to(np.arange(qpos.shape[1]), qpos.shape)
+            loss = query_loss(logits, at_rows, tgt)
             total_loss += loss.item() * b
-            total_acc += query_accuracy(logits.data, qpos, tgt) * b
+            total_acc += query_accuracy(logits.data, at_rows, tgt) * b
             done += b
     return total_loss / n_samples, total_acc / n_samples
 

@@ -1,7 +1,7 @@
 """Reference implementations that the tests check prismlab against.
 
-Nothing here trains, evaluates or is benchmarked, so it lives with the
-tests rather than in the package:
+Nothing here is called by training, evaluation or the benchmark, so it
+lives with the tests rather than in the package:
 
   * the reference activations on raw arrays: GELU and its derivative
     through scipy's erf, and the logistic function in its two-branch
@@ -19,7 +19,8 @@ tests rather than in the package:
   * ``grad_check``: taped gradients against central differences, and
     ``assert_same_bits``;
   * ``assert_chunked_scan_matches_serial``: ``chunked_scan`` against its
-    serial oracle ``scan_core``, in outputs and every gradient.
+    serial oracle ``scan_core``, in outputs and every gradient;
+  * ``full_logit_evaluate``: ``train.evaluate`` scored on the full logits.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ import numpy as np
 from scipy.special import erf
 
 from prismlab import tensor as T
+from prismlab import train
 from prismlab.cell import StepTerms, chunked_scan, scan_core
 from prismlab.errors import ConfigError, NumericError, ShapeError
-from prismlab.tasks import MODULUS, PARITY_BITS, TaskConfig, TaskKind, TaskSample, _bit_token
+from prismlab.tasks import (MODULUS, PARITY_BITS, TaskConfig, TaskKind, TaskSample, _bit_token,
+                            generate_batch, seed_list)
 
 _COND_LIMIT = 1e10  # degenerate_closed_form refuses a W_k this ill-conditioned
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -411,3 +414,23 @@ def assert_chunked_scan_matches_serial(arrays, chunk):
     for name, w in want.items():
         assert np.isfinite(got[name]).all(), name
         np.testing.assert_allclose(got[name], w, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
+# --------------------------------------------------------------------------
+# evaluation on the full logits
+# --------------------------------------------------------------------------
+
+def full_logit_evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples):
+    """(loss, accuracy) of ``train.evaluate`` on the same batches, scored on
+    the full (B, N, V) logits: every position runs through the last block's
+    MLP, the final layernorm and the head, and ``query_loss`` and
+    ``query_accuracy`` pick the query rows out of them."""
+    total_loss = total_acc = 0.0
+    with T.no_grad():
+        for done in range(0, n_samples, train.EVAL_BATCH):
+            b = min(train.EVAL_BATCH, n_samples - done)
+            tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=seed_list(seed) + [done])
+            logits = model.forward(tokens)
+            total_loss += train.query_loss(logits, qpos, tgt).item() * b
+            total_acc += train.query_accuracy(logits.data, qpos, tgt) * b
+    return total_loss / n_samples, total_acc / n_samples

@@ -11,12 +11,14 @@ from oracles import (Activation, assert_same_bits, composed_linear_attention,
                      composed_softmax_attention, degenerate_closed_form, delta_rule_step,
                      grad_check, ideal_solver_step, linear_attention_step)
 from prismlab import tensor as T
+from prismlab import train
 from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
 from prismlab.models import (N_EXPERTS, N_HEADS, AttnParams, LAParams, MixerBlockParams,
                              ModelKind, MoMParams, SequenceModel,
                              blocked_gated_scan, build_model, causal_attention,
                              gated_la_scan, la_mixer_forward, masked_linear_attention,
                              mom_forward, softmax_attention)
+from prismlab.tasks import TaskConfig, TaskKind, generate_batch
 
 
 # ---------------------------------------------------------------- LA step
@@ -627,6 +629,71 @@ def test_token_id_out_of_range_raises_data_error(bad):
     tokens[1, 3] = bad
     with pytest.raises(DataError, match="out of range"):
         model.forward(tokens)
+
+
+def _queries(task, dtype, kind, bsz=3, n=32):
+    """A model of ``kind`` and a (tokens, query positions, targets) batch
+    of ``task``: parity has one query per sample, MQAR four."""
+    model = build_model(kind, d=8, vocab=64, n_ctx=n, seed=[6, 0], dtype=dtype)
+    return model, generate_batch(task, TaskConfig(n=n), bsz, seed=[6, 1])
+
+
+QUERY_TASKS = [pytest.param(TaskKind.PARITY, id="q1-parity"),
+               pytest.param(TaskKind.MQAR, id="q4-mqar")]
+
+
+@pytest.mark.parametrize("task", QUERY_TASKS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_forward_at_equals_full_logits_at_the_rows(kind, dtype, task):
+    model, (tokens, qpos, _) = _queries(task, dtype, kind)
+    full = model.forward(tokens).data
+    got = model.forward(tokens, at=qpos).data
+    assert got.shape == qpos.shape + (model.vocab,)
+    assert_same_bits(got, full[np.arange(len(qpos))[:, None], qpos])
+
+
+@pytest.mark.parametrize("task", QUERY_TASKS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_forward_at_gives_the_full_logits_gradients(kind, dtype, task):
+    # The same query loss, through the full logits and through the rows:
+    # the gradients differ only by the order in which zeros are summed in.
+    model, (tokens, qpos, tgt) = _queries(task, dtype, kind)
+    grads = []
+    for at in (None, qpos):
+        for p in model.params():
+            p.grad = None
+        logits = model.forward(tokens, at=at)
+        rows = qpos if at is None else np.broadcast_to(np.arange(qpos.shape[1]), qpos.shape)
+        T.backward(train.query_loss(logits, rows, tgt))
+        grads.append([p.grad for p in model.params()])
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for want, got in zip(*grads):
+        assert got is not None and got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("pos", [-1, 32], ids=["negative", "past-end"])
+def test_forward_at_out_of_range_raises_data_error(pos):
+    # A negative position must not wrap to N - 1.
+    model, (tokens, qpos, _) = _queries(TaskKind.MQAR, np.float32, ModelKind.LINEAR_ATTENTION)
+    qpos[1, 2] = pos
+    with pytest.raises(DataError, match=r"out of range \[0, 32\)"):
+        model.forward(tokens, at=qpos)
+
+
+def test_forward_non_integer_at_raises_data_error():
+    model, (tokens, qpos, _) = _queries(TaskKind.MQAR, np.float32, ModelKind.LINEAR_ATTENTION)
+    with pytest.raises(DataError, match="must be integers"):
+        model.forward(tokens, at=qpos.astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3,), (3, 4, 1)], ids=["other-B", "1-d", "3-d"])
+def test_forward_at_of_another_shape_raises_shape_error(shape):
+    model, (tokens, _, _) = _queries(TaskKind.MQAR, np.float32, ModelKind.LINEAR_ATTENTION)
+    with pytest.raises(ShapeError, match=r"must be \(B, Q\) with B = 3"):
+        model.forward(tokens, at=np.zeros(shape, dtype=np.int64))
 
 
 def test_models_deterministic_under_seed():

@@ -79,6 +79,29 @@ def test_transpose_with_bad_axes_raises_shape_error(axes):
         T.transpose(T.Tensor(np.ones((2, 3))), axes)
 
 
+@pytest.mark.parametrize("op", [T.tsum, T.softmax], ids=["tsum", "softmax"])
+def test_axis_out_of_range_raises_shape_error(op):
+    # numpy raised its AxisError.
+    with pytest.raises(ShapeError, match=r"axis 2 is out of range for \(2, 3\)"):
+        op(T.Tensor(np.ones((2, 3))), axis=2)
+
+
+@pytest.mark.parametrize("key", [3, (slice(None), 3), (np.array([[0], [1]]), np.array([[1], [3]]))],
+                         ids=["row", "column", "rows-at"])
+def test_take_slice_out_of_range_raises_shape_error(key):
+    # numpy raised a bare IndexError.
+    with pytest.raises(ShapeError, match=r"out of bounds .* in a tensor of shape \(2, 3\)"):
+        T.take_slice(T.Tensor(np.ones((2, 3))), key)
+
+
+@pytest.mark.parametrize("gain,bias", [(4, 3), (3, 4), (1, 3)], ids=["gain", "bias", "size-1-gain"])
+def test_layernorm_affine_of_the_wrong_size_raises_shape_error(gain, bias):
+    # A (4,) gain raised numpy's broadcast ValueError; a (1,) gain broadcast
+    # silently over every channel.
+    with pytest.raises(ShapeError, match=r"must both be \(3,\) for input \(2, 3\)"):
+        T.layernorm(T.Tensor(np.ones((2, 3))), T.ones(gain), T.zeros(bias))
+
+
 def test_matmul_dtype_mismatch():
     with pytest.raises(ShapeError):
         T.matmul(T.Tensor(np.ones((2, 2)), dtype=np.float32),

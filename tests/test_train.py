@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import full_logit_evaluate
 from prismlab import tensor as T
 from prismlab import train
 from prismlab.config import RunConfig
@@ -72,6 +73,37 @@ def test_evaluate_takes_an_int_seed_as_generate_batch_does():
     tcfg = TaskConfig(n=32)
     assert (train.evaluate(model, TaskKind.MQAR, tcfg, seed=3, n_samples=4)
             == train.evaluate(model, TaskKind.MQAR, tcfg, seed=[3], n_samples=4))
+
+
+@pytest.mark.parametrize("task", [TaskKind.MQAR, TaskKind.PARITY], ids=lambda t: t.value)
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_evaluate_equals_full_logit_scoring(kind, task):
+    # Two batches, EVAL_BATCH samples and 3.
+    model = build_model(kind, d=8, n_ctx=32, seed=[4, 0])
+    tcfg, n_samples = TaskConfig(n=32), train.EVAL_BATCH + 3
+    assert (train.evaluate(model, task, tcfg, seed=[4, 2], n_samples=n_samples)
+            == full_logit_evaluate(model, task, tcfg, [4, 2], n_samples))
+
+
+def test_evaluate_runs_the_top_of_the_network_at_the_query_rows_only(monkeypatch):
+    # MQAR: Q = 4 queries in each of B = 5 samples of N = 32 tokens.
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
+    norm_rows, head_rows = [], []
+
+    def spy(fn, seen, keep=lambda *args: True):
+        def wrapped(*args, **kwargs):
+            if keep(*args):
+                seen.append(args[0].shape)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(T, "layernorm", spy(T.layernorm, norm_rows))
+    monkeypatch.setattr(T, "matmul", spy(T.matmul, head_rows, lambda a, b: b is model.head))
+    train.evaluate(model, TaskKind.MQAR, TaskConfig(n=32), seed=[1], n_samples=5)
+    # LN1, LN2 and LN1 of the blocks before the last residual add, then the
+    # last block's LN2 and the final layernorm.
+    assert norm_rows == [(5, 32, 8)] * 3 + [(5 * 4, 8)] * 2
+    assert head_rows == [(5 * 4, 8)]
 
 
 def test_negative_seed_raises_before_any_work(monkeypatch):
