@@ -62,7 +62,7 @@ class PrismConfig:
 
 
 @dataclass
-class PrismParams:
+class PrismParams(T.Params):
     """Learnable weights of one PRISM layer (all stored for right
     multiplication: projected = row_vector @ W). Column l of w_beta, and
     column block l of w_k and of w_p, belong to pair l; block l is the l-th
@@ -80,27 +80,16 @@ class PrismParams:
     @classmethod
     def init(cls, rng, cfg: PrismConfig, dtype=np.float64):
         d, w = cfg.d, cfg.w
-        sd = 1.0 / np.sqrt(d)
-
-        def mats(count=1):
-            blocks = [rng.standard_normal((d, d)) * sd for _ in range(count)]
-            return T.Tensor(np.concatenate(blocks, axis=1).astype(dtype),
-                            requires_grad=True)
-
         kern = rng.standard_normal((w, d)) * (0.5 / w)
         kern[-1] += 1.0  # start near the identity tap: u ~ silu(x)
         return cls(
             conv=T.Tensor(kern.astype(dtype), requires_grad=True),
-            w_q=mats(), w_v=mats(),
+            w_q=T.randn(rng, (d, d), dtype), w_v=T.randn(rng, (d, d), dtype),
             w_alpha=T.zeros((d, 1), dtype=dtype, requires_grad=True),
-            w_k=mats(cfg.L), w_p=mats(cfg.L),
+            w_k=T.randn(rng, (d, d), dtype, cfg.L), w_p=T.randn(rng, (d, d), dtype, cfg.L),
             w_beta=T.zeros((d, cfg.L), dtype=dtype, requires_grad=True),
-            w_o=mats(),
+            w_o=T.randn(rng, (d, d), dtype),
         )
-
-    def params(self):
-        yield from (self.conv, self.w_q, self.w_v, self.w_alpha, self.w_k, self.w_p,
-                    self.w_beta, self.w_o)
 
 
 @dataclass

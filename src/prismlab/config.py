@@ -37,6 +37,18 @@ def check_int(name, value, low):
     return int(value)
 
 
+def seed_list(seed):
+    """A seed (an int, or a list or tuple of ints) as a list of ints >= 0.
+    numpy integers count as ints; a float or bool element is refused, not
+    truncated."""
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    if not all(is_a(s, numbers.Integral) for s in seeds):
+        raise ConfigError(f"seed must be an int or a list of ints, got {seed!r}")
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    return [int(s) for s in seeds]
+
+
 @dataclass
 class RunConfig:
     model: str = "prism"
@@ -131,9 +143,12 @@ class MetricRecord:
         parts = row.strip().split(",")
         if len(parts) != len(CSV_HEADER):
             raise ConfigError(f"bad metrics row: {row!r}")
-        return cls(run_id=parts[0], model=parts[1], task=parts[2],
-                   seed=int(parts[3]), step=int(parts[4]), loss=float(parts[5]),
-                   accuracy=float(parts[6]), tokens_per_s=float(parts[7]))
+        try:
+            return cls(run_id=parts[0], model=parts[1], task=parts[2],
+                       seed=int(parts[3]), step=int(parts[4]), loss=float(parts[5]),
+                       accuracy=float(parts[6]), tokens_per_s=float(parts[7]))
+        except ValueError:  # a field that does not parse as its type
+            raise ConfigError(f"bad metrics row: {row!r}") from None
 
 
 def write_metrics(records, path):

@@ -7,11 +7,12 @@ linear-attention memories with soft routing (MoM), or 2-head causal softmax
 attention (the full-rank upper bound). Every mixer maps a (B, N, d) batch
 to (B, N, d), and every block is a ``MixerBlockParams`` holding its mixer's
 weights and function; PRISM's function is ``cell.chunked_forward``, whose
-final state the block drops. Only the transformer receives positional
-embeddings; the recurrent mixers get order from their scans. Given (B, Q)
-query positions ``at``, ``SequenceModel.forward`` runs the last block's
-MLP, the final layernorm and the head at those B*Q rows only, which is
-all that evaluation scores.
+final state the block drops. LA and attention share one projection
+container, ``QKVOParams``; every weight container is a ``tensor.Params``.
+Only the transformer receives positional embeddings; the recurrent mixers
+get order from their scans. Given (B, Q) query positions ``at``,
+``SequenceModel.forward`` runs the last block's MLP, the final layernorm
+and the head at those B*Q rows only, which is all that evaluation scores.
 
 The transformer's and LA's (N, N) scores are one tape node each, both built
 by ``_weighted_mix`` and differing only in the score map:
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import tensor as T
 from .cell import PrismConfig, PrismParams, chunked_forward, flush_subnormals
-from .config import check_int
+from .config import check_int, seed_list
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .tensor import Tensor
 
@@ -290,12 +291,6 @@ def masked_linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 # mixer parameter containers
 # --------------------------------------------------------------------------
 
-def _mat(rng, shape, dtype, scale=None):
-    scale = scale if scale is not None else 1.0 / np.sqrt(shape[0])
-    return T.Tensor((rng.standard_normal(shape) * scale).astype(dtype),
-                    requires_grad=True)
-
-
 def _prism_mixer(x: Tensor, p: PrismParams, cfg: PrismConfig) -> Tensor:
     """PRISM as a block's mixer: ``chunked_forward``'s y; S_N is dropped.
     A module-level function, bound to its config by ``functools.partial``,
@@ -304,7 +299,10 @@ def _prism_mixer(x: Tensor, p: PrismParams, cfg: PrismConfig) -> Tensor:
 
 
 @dataclass
-class LAParams:
+class QKVOParams(T.Params):
+    """The query, key, value and output projections, each (d, d), of linear
+    attention and of softmax attention."""
+
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
@@ -312,13 +310,10 @@ class LAParams:
 
     @classmethod
     def init(cls, rng, d, dtype):
-        return cls(*(_mat(rng, (d, d), dtype) for _ in range(4)))
-
-    def params(self):
-        yield from (self.w_q, self.w_k, self.w_v, self.w_o)
+        return cls(*(T.randn(rng, (d, d), dtype) for _ in range(4)))
 
 
-def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
+def la_mixer_forward(x: Tensor, p: QKVOParams) -> Tensor:
     """Un-gated linear attention via its masked parallel form.
 
     y_t = sum_{i<=t} (q_t . k_i) v_i, identical to rolling
@@ -331,7 +326,7 @@ def la_mixer_forward(x: Tensor, p: LAParams) -> Tensor:
 
 
 @dataclass
-class MoMParams:
+class MoMParams(T.Params):
     """N_EXPERTS gated linear-attention memories behind a soft router.
 
     The experts' projections are stacked: column block i (columns
@@ -351,20 +346,11 @@ class MoMParams:
 
     @classmethod
     def init(cls, rng, d, dtype):
-        def stacked():
-            return T.Tensor(np.concatenate([_mat(rng, (d, d), dtype).data
-                                            for _ in range(N_EXPERTS)], axis=1),
-                            requires_grad=True)
-        return cls(
-            w_router=_mat(rng, (d, N_EXPERTS), dtype),
-            b_router=T.zeros(N_EXPERTS, dtype=dtype, requires_grad=True),
-            w_g=stacked(), w_k=stacked(), w_v=stacked(), w_q=stacked(),
-            w_o=_mat(rng, (d, d), dtype),
-        )
-
-    def params(self):
-        yield from (self.w_router, self.b_router, self.w_g, self.w_k, self.w_v,
-                    self.w_q, self.w_o)
+        w_router = T.randn(rng, (d, N_EXPERTS), dtype)
+        w_g, w_k, w_v, w_q = (T.randn(rng, (d, d), dtype, N_EXPERTS) for _ in range(4))
+        return cls(w_router=w_router,
+                   b_router=T.zeros(N_EXPERTS, dtype=dtype, requires_grad=True),
+                   w_g=w_g, w_k=w_k, w_v=w_v, w_q=w_q, w_o=T.randn(rng, (d, d), dtype))
 
 
 def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
@@ -388,24 +374,7 @@ def mom_forward(x: Tensor, p: MoMParams) -> Tensor:
     return T.transpose(T.reshape(blended @ p.w_o, (n, bsz, d)), (1, 0, 2))
 
 
-@dataclass
-class AttnParams:
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-
-    @classmethod
-    def init(cls, rng, d, dtype):
-        if d % N_HEADS:
-            raise ConfigError(f"heads {N_HEADS} must divide d {d}")
-        return cls(*(_mat(rng, (d, d), dtype) for _ in range(4)))
-
-    def params(self):
-        yield from (self.w_q, self.w_k, self.w_v, self.w_o)
-
-
-def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
+def causal_attention(x: Tensor, p: QKVOParams) -> Tensor:
     """Multi-head softmax attention under a strict causal mask.
 
     The (B, h, N, N) scores are one ``softmax_attention`` node, which keeps
@@ -429,7 +398,7 @@ def causal_attention(x: Tensor, p: AttnParams) -> Tensor:
 # --------------------------------------------------------------------------
 
 @dataclass
-class MixerBlockParams:
+class MixerBlockParams(T.Params):
     """Pre-norm residual block around an arbitrary mixer."""
 
     ln1_g: Tensor
@@ -452,19 +421,11 @@ class MixerBlockParams:
             mixer=mixer, mixer_fn=mixer_fn,
             ln2_g=T.ones(d, dtype=dtype, requires_grad=True),
             ln2_b=T.zeros(d, dtype=dtype, requires_grad=True),
-            mlp_w1=_mat(rng, (d, h), dtype),
+            mlp_w1=T.randn(rng, (d, h), dtype),
             mlp_b1=T.zeros(h, dtype=dtype, requires_grad=True),
-            mlp_w2=_mat(rng, (h, d), dtype),
+            mlp_w2=T.randn(rng, (h, d), dtype),
             mlp_b2=T.zeros(d, dtype=dtype, requires_grad=True),
         )
-
-    def params(self):
-        yield self.ln1_g
-        yield self.ln1_b
-        yield from self.mixer.params()
-        yield self.ln2_g
-        yield self.ln2_b
-        yield from (self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
     def forward(self, x, at=None):
         """(B, N, d) -> (B, N, d); with ``at``, (B, Q) positions checked by
@@ -527,7 +488,13 @@ class ModelKind(enum.Enum):
 
 
 class SequenceModel:
-    """Embedding -> 2 mixer blocks -> final layernorm -> untied head."""
+    """Embedding -> 2 mixer blocks -> final layernorm -> untied head.
+
+    Raises ConfigError for a kind that is not a ModelKind, a size that is
+    not an int >= 1, a seed that ``seed_list`` refuses, a dtype other than
+    np.float32 or np.float64 (as a type or an np.dtype), or a transformer
+    whose heads do not divide d.
+    """
 
     def __init__(self, kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
                  seed=0, dtype=np.float32):
@@ -535,12 +502,17 @@ class SequenceModel:
             raise ConfigError(f"model kind must be a ModelKind, got {kind!r}")
         for name, value in (("d", d), ("vocab", vocab), ("n_ctx", n_ctx), ("L", L)):
             check_int(f"model {name}", value, 1)
+        if kind is ModelKind.TRANSFORMER and d % N_HEADS:
+            raise ConfigError(f"heads {N_HEADS} must divide d {d}")
         self.kind = kind
         self.d = d
         self.vocab = vocab
         self.n_ctx = n_ctx
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
+        if dtype not in (np.float32, np.float64):  # np.dtype("float32") == np.float32
+            raise ConfigError(f"model dtype must be float32 or float64, got {dtype!r}")
+        self.dtype = dtype = np.dtype(dtype).type
+        # default_rng(s) and default_rng([s]) draw the same numbers.
+        rng = np.random.default_rng(seed_list(seed))
         self.embedding = T.Tensor((rng.standard_normal((vocab, d)) * 0.5).astype(dtype),
                                   requires_grad=True)
         self.pos = None
@@ -554,15 +526,15 @@ class SequenceModel:
                 mixer = PrismParams.init(rng, cfg, dtype=dtype)
                 mixer_fn = functools.partial(_prism_mixer, cfg=cfg)
             elif kind is ModelKind.LINEAR_ATTENTION:
-                mixer, mixer_fn = LAParams.init(rng, d, dtype), la_mixer_forward
+                mixer, mixer_fn = QKVOParams.init(rng, d, dtype), la_mixer_forward
             elif kind is ModelKind.MOM:
                 mixer, mixer_fn = MoMParams.init(rng, d, dtype), mom_forward
             else:
-                mixer, mixer_fn = AttnParams.init(rng, d, dtype), causal_attention
+                mixer, mixer_fn = QKVOParams.init(rng, d, dtype), causal_attention
             self.blocks.append(MixerBlockParams.init(rng, d, mixer, mixer_fn, dtype))
         self.lnf_g = T.ones(d, dtype=dtype, requires_grad=True)
         self.lnf_b = T.zeros(d, dtype=dtype, requires_grad=True)
-        self.head = _mat(rng, (d, vocab), dtype)
+        self.head = T.randn(rng, (d, vocab), dtype)
 
     def params(self):
         yield self.embedding
@@ -626,7 +598,7 @@ class SequenceModel:
             raise ShapeError(f"checkpoint keys differ from the model's: missing "
                              f"{sorted(want - got)}, unexpected {sorted(got - want)}")
         for idx, p in enumerate(params):
-            arr = state[f"p{idx}"]
+            arr = np.asarray(state[f"p{idx}"])
             if arr.shape != p.data.shape:
                 raise ShapeError(f"checkpoint shape mismatch at p{idx}")
             p.data = arr.astype(p.data.dtype)
@@ -634,6 +606,7 @@ class SequenceModel:
 
 def build_model(kind: ModelKind, d=16, vocab=64, n_ctx=128, L=2,
                 seed=0, dtype=np.float32) -> SequenceModel:
-    """Construct a trainable model of the requested kind."""
+    """Construct a trainable model of the requested kind; ConfigError as
+    ``SequenceModel`` raises it."""
     return SequenceModel(kind, d=d, vocab=vocab, n_ctx=n_ctx, L=L,
                          seed=seed, dtype=dtype)

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_int, is_a
+from .config import check_int, seed_list
 from .errors import ConfigError, DataError
 
 NAMED_TOKENS = ("QUERY", "TOK_XOR", "ON", "OFF", "NULL",
@@ -137,18 +136,6 @@ def _place_groups(rng, n, sizes):
     # earlier gaps, so group i starts at cuts[i] plus the earlier sizes.
     cuts = np.sort(rng.choice(free + m, size=m, replace=False))
     return cuts + np.cumsum((0,) + tuple(sizes[:-1]))
-
-
-def seed_list(seed):
-    """A seed (an int, or a list or tuple of ints) as a list of ints >= 0.
-    numpy integers count as ints; a float or bool element is refused, not
-    truncated."""
-    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    if not all(is_a(s, numbers.Integral) for s in seeds):
-        raise ConfigError(f"seed must be an int or a list of ints, got {seed!r}")
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"seed must be non-negative, got {seed!r}")
-    return [int(s) for s in seeds]
 
 
 def _write(tokens, start, group):

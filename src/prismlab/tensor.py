@@ -21,10 +21,17 @@ fresh one. The tape and the ``no_grad`` switch are module state, one per
 process: graphs are built and consumed one at a time, and parallel work
 runs in separate processes. Gradients are first-order only: backward
 functions work on raw numpy arrays and are never themselves taped.
+
+Weights are declared once. ``randn`` draws every random weight matrix:
+blocks of standard normals scaled by 1/sqrt(fan-in), set side by side.
+``Params`` is the base of every weight container: a dataclass whose
+``params()`` lists its weights in field order, so a new weight is one
+field plus one draw in its ``init``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +153,31 @@ def zeros(shape, dtype=np.float64, requires_grad=False):
 
 def ones(shape, dtype=np.float64, requires_grad=False):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
+
+
+def randn(rng, shape, dtype, blocks=1):
+    """A trainable (r, blocks*c) weight: ``blocks`` (r, c) standard normal
+    draws from ``rng``, in order, each scaled by 1/sqrt(r), its fan-in, and
+    set side by side."""
+    scale = 1.0 / np.sqrt(shape[0])
+    # Cast each draw before the join: joining the float64 draws first left
+    # MoM training's peak RSS 2.4 MB higher (prismbench train-n128).
+    draws = [(rng.standard_normal(shape) * scale).astype(dtype) for _ in range(blocks)]
+    return Tensor(np.concatenate(draws, axis=1), requires_grad=True)
+
+
+class Params:
+    """Base of a weight container: a dataclass whose ``params()`` yields
+    its ``Tensor`` fields in field order, and the weights of every field
+    that is itself a ``Params``, in place. Other fields are skipped."""
+
+    def params(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                yield value
+            elif isinstance(value, Params):
+                yield from value.params()
 
 
 # -- arithmetic ---------------------------------------------------------

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import MetricRecord, RunConfig, check_int, is_a
+from .config import MetricRecord, RunConfig, check_int, is_a, seed_list
 from .errors import ConfigError, NumericError, ShapeError
 from .models import ModelKind, build_model, check_positions
 from .optim import Adam
-from .tasks import TaskConfig, TaskKind, generate_batch, min_length, seed_list
+from .tasks import TaskConfig, TaskKind, generate_batch, min_length
 
 EVAL_EVERY = 1000
 EVAL_SAMPLES = 1024

@@ -35,9 +35,10 @@ from scipy.special import erf
 from prismlab import tensor as T
 from prismlab import train
 from prismlab.cell import StepTerms, chunked_scan, scan_core
+from prismlab.config import seed_list
 from prismlab.errors import ConfigError, NumericError, ShapeError
 from prismlab.tasks import (MODULUS, PARITY_BITS, TaskConfig, TaskKind, TaskSample, _bit_token,
-                            generate_batch, seed_list)
+                            generate_batch)
 
 _COND_LIMIT = 1e10  # degenerate_closed_form refuses a W_k this ill-conditioned
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

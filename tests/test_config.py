@@ -77,3 +77,11 @@ def test_metrics_round_trip_header_written_once(tmp_path):
     write_metrics([second], path)
     assert read_metrics(path) == [first, second]
     assert path.read_text().count(",".join(CSV_HEADER)) == 1
+
+
+@pytest.mark.parametrize("row", ["a,b,c,x,1,1.0,0.5,3", "a,b,c,1,1,nan?,0.5,3",
+                                 "a,b,c,1,1,1.0,0.5,fast"])
+def test_metrics_row_that_does_not_parse_raises_config_error(row):
+    with pytest.raises(ConfigError, match="bad metrics row") as exc:
+        MetricRecord.from_row(row)
+    assert row in str(exc.value)

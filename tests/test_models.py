@@ -13,8 +13,8 @@ from oracles import (Activation, assert_same_bits, composed_linear_attention,
 from prismlab import tensor as T
 from prismlab import train
 from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
-from prismlab.models import (N_EXPERTS, N_HEADS, AttnParams, LAParams, MixerBlockParams,
-                             ModelKind, MoMParams, SequenceModel,
+from prismlab.models import (N_EXPERTS, N_HEADS, MixerBlockParams, ModelKind, MoMParams,
+                             QKVOParams, SequenceModel,
                              blocked_gated_scan, build_model, causal_attention,
                              gated_la_scan, la_mixer_forward, masked_linear_attention,
                              mom_forward, softmax_attention)
@@ -404,7 +404,7 @@ def test_attention_rows_sum_to_one():
     # (sum of its attention row) * v @ w_o.
     rng = np.random.default_rng(20)
     d = 8
-    p = AttnParams.init(rng, d, np.float64)
+    p = QKVOParams.init(rng, d, np.float64)
     x = rng.standard_normal((2, 10, d))
     x[..., 0] = 1.0
     p.w_v.data[1:] = 0.0
@@ -416,7 +416,7 @@ def test_attention_rows_sum_to_one():
 def test_attention_single_token_self_only():
     rng = np.random.default_rng(21)
     d = 4
-    p = AttnParams.init(rng, d, np.float64)
+    p = QKVOParams.init(rng, d, np.float64)
     x = rng.standard_normal((2, 1, d))
     y = causal_attention(T.Tensor(x), p).data
     np.testing.assert_allclose(y, x @ p.w_v.data @ p.w_o.data, atol=1e-12)
@@ -427,7 +427,7 @@ def test_attention_strictly_causal_weights():
     # reaches the output at t itself.
     rng = np.random.default_rng(22)
     d = 4
-    p = AttnParams.init(rng, d, np.float64)
+    p = QKVOParams.init(rng, d, np.float64)
     x = rng.standard_normal((1, 6, d))
     y0 = causal_attention(T.Tensor(x), p).data
     for t in range(6):
@@ -441,7 +441,7 @@ def test_attention_strictly_causal_weights():
 def test_transformer_block_zero_values_reduces_to_mlp():
     rng = np.random.default_rng(23)
     d = 6
-    mix = AttnParams.init(rng, d, np.float64)
+    mix = QKVOParams.init(rng, d, np.float64)
     mix.w_v.data[:] = 0.0
     blk = MixerBlockParams.init(rng, d, mix, causal_attention, np.float64)
     x = rng.standard_normal((1, 8, d))
@@ -538,8 +538,8 @@ def test_score_node_rejects_mismatched_inputs(fused, composed, heads):
 
 
 @pytest.mark.parametrize("mixer,params,heads", [
-    pytest.param(causal_attention, AttnParams, N_HEADS, id="attention"),
-    pytest.param(la_mixer_forward, LAParams, 1, id="la"),
+    pytest.param(causal_attention, QKVOParams, N_HEADS, id="attention"),
+    pytest.param(la_mixer_forward, QKVOParams, 1, id="la"),
 ])
 def test_taped_mixer_keeps_less_than_two_score_arrays(mixer, params, heads):
     # After one taped call (float32, B 4, N 256), the arrays the call left
@@ -598,13 +598,23 @@ def test_init_matches_pinned_digests(kind, dtype):
     assert h.hexdigest() == INIT_DIGESTS[kind.value, np.dtype(dtype).name]
 
 def test_prism_param_count_matches_hand_sum():
-    model = build_model(ModelKind.PRISM, d=16, vocab=64, n_ctx=128, L=2)
-    d, v, l, w = 16, 64, 2, 4
-    emb = v * d
-    prism = w * d + 2 * d * d + d + l * (2 * d * d + d) + d * d
-    block = 2 * 2 * d + prism + (d * 4 * d + 4 * d + 4 * d * d + d)
-    want = emb + 2 * block + 2 * d + d * v
-    assert sum(p.data.size for p in model.params()) == want
+    # Named for PRISM, its first case; it covers every kind, one hand sum each.
+    d, v, n_ctx, l, w, e = 16, 64, 128, 2, 4, N_EXPERTS
+    body = v * d + 2 * d + d * v                                  # embedding, final norm, head
+    around = 2 * 2 * d + (d * 4 * d + 4 * d + 4 * d * d + d)      # a block's norms and MLP
+    mixers = {
+        ModelKind.PRISM: w * d + 2 * d * d + d + l * (2 * d * d + d) + d * d,
+        ModelKind.LINEAR_ATTENTION: 4 * d * d,
+        ModelKind.MOM: d * e + e + 4 * e * d * d + d * d,
+        ModelKind.TRANSFORMER: 4 * d * d,
+    }
+    want = {kind: body + 2 * (around + mixer) for kind, mixer in mixers.items()}
+    want[ModelKind.TRANSFORMER] += n_ctx * d                      # positional embeddings
+    assert {k.value: n for k, n in want.items()} == {
+        "prism": 10_272, "la": 8_512, "mom": 15_304, "transformer": 10_560}
+    for kind in ModelKind:
+        model = build_model(kind, d=d, vocab=v, n_ctx=n_ctx, L=l)
+        assert sum(p.data.size for p in model.params()) == want[kind], kind
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -804,6 +814,47 @@ def test_non_integer_size_raises_config_error(kind):
         build_model(kind, d=2.0)
 
 
+def test_transformer_heads_must_divide_d():
+    with pytest.raises(ConfigError, match=f"heads {N_HEADS} must divide d 15"):
+        build_model(ModelKind.TRANSFORMER, d=15)
+    for kind in (ModelKind.PRISM, ModelKind.LINEAR_ATTENTION, ModelKind.MOM):
+        assert build_model(kind, d=15, vocab=16, n_ctx=8).d == 15
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128, np.dtype("int8"), None,
+                                   "float32", 1.5],
+                         ids=["int64", "float16", "complex128", "int8-dtype", "none", "name",
+                              "number"])
+def test_non_float_dtype_raises_config_error(dtype):
+    with pytest.raises(ConfigError, match="dtype must be float32 or float64"):
+        build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.dtype("float32"),
+                                   np.dtype("float64")],
+                         ids=["float32", "float64", "float32-dtype", "float64-dtype"])
+def test_float_dtype_is_the_model_and_logits_dtype(dtype):
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8, dtype=dtype)
+    logits = model.forward(np.zeros((1, 8), dtype=np.int64))
+    assert model.dtype is np.dtype(dtype).type
+    assert logits.data.dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, [1, -2]], ids=str)
+def test_bad_seed_raises_config_error(seed):
+    with pytest.raises(ConfigError, match="seed must be"):
+        build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=seed)
+
+
+def test_load_state_dict_takes_lists():
+    model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=5)
+    other = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=6)
+    other.load_state_dict({k: v.tolist() for k, v in model.state_dict().items()})
+    for a, b in zip(model.params(), other.params()):
+        assert b.data.dtype == np.float32
+        np.testing.assert_array_equal(a.data, b.data)
+
+
 @pytest.mark.parametrize("block", [0, 1])
 def test_numeric_error_names_block_and_step(block):
     model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=7)
@@ -818,7 +869,7 @@ def test_numeric_error_names_block_and_step(block):
 def test_la_mixer_matches_recurrence():
     rng = np.random.default_rng(24)
     d = 5
-    p = LAParams.init(rng, d, np.float64)
+    p = QKVOParams.init(rng, d, np.float64)
     x = rng.standard_normal((1, 9, d))
     y = la_mixer_forward(T.Tensor(x), p).data
     q = x @ p.w_q.data
