@@ -26,11 +26,13 @@ one fused tape node with a hand-derived backward each:
     Its forward runs in transition form, S_t = S_{t-1} A_t + C_t K_t with
     A_t = alpha_t (I - beta1_t k1_t k1_t^T): every C_t K_t comes from one
     batched product, the A_t are formed a block of steps at a time, and a
-    step is one (d x d) product and one add. The state history is checked
-    for non-finite values in one pass after the loop, which reports the
-    first bad step.
+    step is one (d x d) product and one add.
 
-Both scans raise ShapeError for inputs that do not fit together.
+Both scans raise ShapeError for inputs that do not fit together. They and
+``models.blocked_gated_scan`` run their forwards under ``np.errstate`` and
+report a non-finite rollout through ``non_finite_step``: NumericError at
+the first step whose readout is not finite, else at the last step of the
+first stored state that is not.
 
 This module holds the layer only. In a model, PRISM is one more mixer of
 ``models.MixerBlockParams``, the pre-norm residual block every model uses:
@@ -250,11 +252,11 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
     steps at a time into one reused buffer; each step is then one (d x d)
     product and one add. The readouts come from one product over the
     history after the loop, and so does the backward's m_t = S_{t-1} k1_t,
-    formed only when the backward runs. Finiteness is checked once, over
-    the whole history, after the loop.
+    formed only when the backward runs.
 
-    Raises ShapeError if the inputs do not fit together, NumericError
-    whose ``step`` is the first step with a non-finite state.
+    Raises ShapeError if the inputs do not fit together, NumericError whose
+    ``step`` is the first step with a non-finite readout, else with a
+    non-finite state (a BLAS may skip a zero query entry of a bad state).
     """
     _check_scan_args(alpha, beta1, k, cols, q, s0)
     ad, bd, kmat, cmat, qd, s0d = (t.data for t in (alpha, beta1, k, cols, q, s0))
@@ -269,7 +271,7 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
     a_flat = np.empty((blk, bsz, d * d), dtype=s0d.dtype)
     a_blk = a_flat.reshape(blk, bsz, d, d)
     tmp = np.empty((bsz, d, d), dtype=s0d.dtype)
-    # A non-finite state is reported below; the steps after it warn nothing.
+    out = np.empty((bsz, n, d), dtype=s0d.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(_swap(cmat).swapaxes(0, 1), kmat.swapaxes(0, 1), out=s_hist[1:])
         for lo in range(0, n, _BLOCK):
@@ -281,12 +283,10 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
             for t in range(lo, hi):
                 np.matmul(s_hist[t], a[t - lo], out=tmp)
                 s_hist[t + 1] += tmp
-        bad = ~np.isfinite(s_hist[1:]).all(axis=(1, 2, 3))
-    if bad.any():
-        step = int(bad.argmax())
-        raise NumericError(f"state became non-finite at step {step}", step=step)
-    out = np.empty((bsz, n, d), dtype=s0d.dtype)
-    np.matmul(s_hist[1:], qd.swapaxes(0, 1)[..., None], out=out.swapaxes(0, 1)[..., None])
+        np.matmul(s_hist[1:], qd.swapaxes(0, 1)[..., None], out=out.swapaxes(0, 1)[..., None])
+        step = non_finite_step(out.swapaxes(0, 1), s_hist[1:])
+    if step is not None:
+        raise NumericError(f"readout or state became non-finite at step {step}", step=step)
 
     def back(g_out, g_sn):
         m_hist = (s_hist[:-1] @ k1[..., None])[..., 0]
@@ -346,6 +346,18 @@ def flush_subnormals(g):
     """Zero, in place, every subnormal value of g (0 < |g| < tiny). Other
     values, signed zeros included, keep their bits."""
     g *= np.abs(g) >= np.finfo(g.dtype).tiny
+
+
+def non_finite_step(readout, states=None, span=1):
+    """The step a non-finite rollout reports, or None: the first t with ``readout[t]`` not
+    finite, else min((j + 1) span, len(readout)) - 1 for the first such ``states[j]``."""
+    def first_bad(a):
+        return int(np.isfinite(a).all(axis=tuple(range(1, a.ndim))).argmin())
+    if not np.isfinite(readout).all():
+        return first_bad(readout)
+    if states is not None and not np.isfinite(states).all():
+        return min((first_bad(states) + 1) * span, len(readout)) - 1
+    return None
 
 
 def _fold(x, c):
@@ -456,21 +468,13 @@ def _wy_forward(la, b, kw, cw, q, s0):
     return ch.e[..., 1:, 0, None] * (q @ s_t) + ch.p @ ch.v_c, bounds, ch
 
 
-def _first_non_finite_step(raw, readout, bounds, c):
-    """The step a non-finite chunked rollout reports. A non-finite input at
-    step t reaches every readout of t's chunk through the masked products
-    (0 * inf), so that chunk is run again one step per chunk."""
-    n = readout.shape[1]
-    bad = ~np.isfinite(readout).all(axis=(0, 2))
-    if not bad.any():
-        j = int((~np.isfinite(bounds[:, 1:]).all(axis=(0, 2, 3))).argmax())
-        return min((j + 1) * c, n) - 1
-    t = int(bad.argmax())
-    lo = t - t % c
-    part = slice(lo, min(lo + c, n))
-    out, _, _ = _wy_forward(*_wy_inputs(*(a[:, part] for a in raw), 1), bounds[:, lo // c])
-    bad = ~np.isfinite(out).all(axis=(0, 2, 3))
-    return lo + int(bad.argmax()) if bad.any() else t
+def _serial_step(raw, bounds, c, step):
+    """The step a chunked rollout reports for a bad readout at ``step``: the masked products
+    spread a bad input over its chunk (0 * inf), so that chunk is rerun one step per chunk."""
+    lo = step - step % c
+    out, _, _ = _wy_forward(*_wy_inputs(*(a[:, lo:lo + c] for a in raw), 1), bounds[:, lo // c])
+    bad = non_finite_step(out[:, :, 0].swapaxes(0, 1))
+    return step if bad is None else lo + bad
 
 
 def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
@@ -518,14 +522,14 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
            k.data, cols.data, q.data)
     la, b, kw, cw, qm = _wy_inputs(*raw, c)
     n_ch = la.shape[1]
-    # A non-finite input is reported below; the products it reaches warn nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         out, bounds, ch = _wy_forward(la, b, kw, cw, qm, s0.data)
         readout = out.reshape(bsz, n_ch * c, d)[:, :n]
-        if not (np.isfinite(readout).all() and np.isfinite(bounds).all()):
-            step = _first_non_finite_step(raw, readout, bounds, c)
-            raise NumericError(f"readout or state became non-finite at step {step}",
-                               step=step)
+        step = non_finite_step(readout.swapaxes(0, 1), bounds[:, 1:].swapaxes(0, 1), c)
+        if step is not None:
+            if not np.isfinite(readout[:, step]).all():  # a readout, not a chunk end
+                step = _serial_step(raw, bounds, c, step)
+            raise NumericError(f"readout or state became non-finite at step {step}", step=step)
 
     def back(g_out, g_sn):
         e, gram, qk, m, p, tinv, u, v, dk = (

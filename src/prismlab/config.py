@@ -79,11 +79,14 @@ class RunConfig:
                               f"got {self.lr!r}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("config field 'precision' must be 'f32' or 'f64'")
-        if not self.seeds or not all(is_a(s, numbers.Integral) and s >= 0
-                                     for s in self.seeds):
+        try:
+            seeds = seed_list(self.seeds)
+        except ConfigError:
+            seeds = []
+        if not seeds:
             raise ConfigError(f"config field 'seeds' must be a non-empty list of "
                               f"non-negative ints, got {self.seeds!r}")
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = seeds
 
     def dtype(self):
         import numpy as np

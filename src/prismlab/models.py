@@ -31,6 +31,10 @@ block-boundary states for its backward, which recomputes each block's
 states from its boundary: one (d, d) state per memory every SCAN_BLOCK
 steps instead of every step, for a second pass over the states.
 ``gated_la_scan``, which keeps every state, is its step-by-step oracle.
+Like the PRISM scans, the blocked scan runs its forward under ``np.errstate``
+and reports a non-finite rollout through ``cell.non_finite_step``: the first
+step whose readout is not finite, else the last step of the first block
+whose end state is not.
 With gates near 0.5 its backward halves a state gradient at every step
 back in time, so float32 values pass through the subnormal range, where
 arithmetic is slow, before they reach 0. The backward zeroes subnormals
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cell import PrismConfig, PrismParams, chunked_forward, flush_subnormals
+from .cell import PrismConfig, PrismParams, chunked_forward, flush_subnormals, non_finite_step
 from .config import check_int, seed_list
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .tensor import Tensor
@@ -142,9 +146,9 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
     thus moves by less than tiny, plus tiny times the sum of the key, value
     or state entries that multiply the zeroed state gradients.
 
-    Raises NumericError whose ``step`` is the first step with a non-finite
-    readout, or, if every readout is finite, the last step of the first
-    block whose end state is not.
+    Raises NumericError, through ``cell.non_finite_step``, whose ``step`` is
+    the first step with a non-finite readout, or, if every readout is
+    finite, the last step of the first block whose end state is not.
     """
     gd, kd, vd, qd = (t.data for t in (gate, k, v, q))
     if qd.ndim != 3 or any(a.shape != qd.shape for a in (gd, kd, vd)):
@@ -157,16 +161,14 @@ def blocked_gated_scan(gate: Tensor, k: Tensor, v: Tensor, q: Tensor):
     blocks = [slice(t0, t0 + SCAN_BLOCK) for t0 in range(0, n, SCAN_BLOCK)]
     bounds = np.zeros((len(blocks) + 1, m, d, d), dtype=qd.dtype)
     out = np.empty_like(qd)
-    for j, blk in enumerate(blocks):
-        gates = _gate_rows(gd[blk])
-        states = _block_states(bounds[j], gates, vd[blk], kd[blk], np.empty_like(gates))
-        out[blk] = (states @ qd[blk, :, :, None])[..., 0]
-        bounds[j + 1] = states[-1]
-    if not (np.isfinite(out).all() and np.isfinite(bounds).all()):
-        bad = ~np.isfinite(out).all(axis=(1, 2))
-        ends = ~np.isfinite(bounds[1:]).all(axis=(1, 2, 3))
-        step = (int(bad.argmax()) if bad.any()
-                else min((int(ends.argmax()) + 1) * SCAN_BLOCK, n) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, blk in enumerate(blocks):
+            gates = _gate_rows(gd[blk])
+            states = _block_states(bounds[j], gates, vd[blk], kd[blk], np.empty_like(gates))
+            out[blk] = (states @ qd[blk, :, :, None])[..., 0]
+            bounds[j + 1] = states[-1]
+        step = non_finite_step(out, bounds[1:], SCAN_BLOCK)
+    if step is not None:
         raise NumericError(f"readout or state became non-finite at step {step}", step=step)
 
     def back(g_out):
@@ -592,15 +594,25 @@ class SequenceModel:
         return {f"p{idx}": p.data for idx, p in enumerate(self.params())}
 
     def load_state_dict(self, state):
+        """Load ``state_dict()``'s arrays, or nested lists of numbers, into the
+        parameters. Raises ShapeError for keys other than the model's and for a
+        ragged or misshapen value, DataError for a value that is not ints or
+        floats."""
         params = list(self.params())
         want, got = {f"p{idx}" for idx in range(len(params))}, set(state)
         if got != want:
             raise ShapeError(f"checkpoint keys differ from the model's: missing "
                              f"{sorted(want - got)}, unexpected {sorted(got - want)}")
         for idx, p in enumerate(params):
-            arr = np.asarray(state[f"p{idx}"])
+            key = f"p{idx}"
+            try:
+                arr = np.asarray(state[key])
+            except ValueError:  # nested lists of unequal lengths
+                raise ShapeError(f"checkpoint value at {key} is ragged") from None
+            if arr.dtype.kind not in "iuf":
+                raise DataError(f"checkpoint value at {key} is not numbers: dtype {arr.dtype}")
             if arr.shape != p.data.shape:
-                raise ShapeError(f"checkpoint shape mismatch at p{idx}")
+                raise ShapeError(f"checkpoint shape mismatch at {key}")
             p.data = arr.astype(p.data.dtype)
 
 

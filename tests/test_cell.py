@@ -20,7 +20,7 @@ from prismlab.cell import (PrismConfig, PrismParams, StepTerms, chunked_forward,
                            compute_step_terms, rank_accumulate,
                            scale_into_unit_ball, scan_core, serial_forward)
 from prismlab.errors import ConfigError, NumericError, ShapeError
-from prismlab.models import MixerBlockParams, _prism_mixer
+from prismlab.models import MixerBlockParams, _prism_mixer, blocked_gated_scan
 from prismlab.tensor import Tensor
 
 
@@ -703,6 +703,39 @@ def test_chunked_scan_nan_reports_step_and_warns_nothing():
             chunked_scan(T.Tensor(alpha), T.Tensor(beta), T.Tensor(k), T.Tensor(c),
                          T.Tensor(q), T.Tensor(np.zeros((1, 3, 3))), chunk=4)
     assert exc.value.step == 6
+
+
+_PRISM_SCANS = {"scan_core": scan_core,
+                "chunked_scan": lambda *a: chunked_scan(*a, chunk=4)}
+
+
+def _run_scan_with_bad_entry(scan, name, value, step):
+    """Run ``scan`` on random inputs (B 2, N 20, d 3) with one entry of
+    input ``name`` at ``step`` set to ``value``."""
+    rng = np.random.default_rng(52)
+    if scan == "blocked_gated_scan":
+        a = {"gate": rng.uniform(0.5, 1.0, (20, 2, 3))}
+        a.update((n, rng.standard_normal((20, 2, 3))) for n in ("k", "v", "q"))
+        a[name][step].flat[0] = value
+        return blocked_gated_scan(*(T.Tensor(a[n]) for n in ("gate", "k", "v", "q")))
+    a = _scan_arrays(rng, 2, 20, 3, 2)
+    a[name][0, step, ...].flat[0] = value
+    return _PRISM_SCANS[scan](*(T.Tensor(a[n]) for n in _FIT))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("scan, name", [
+    *((s, n) for s in _PRISM_SCANS for n in ("alpha", "beta1", "k", "c", "q")),
+    *(("blocked_gated_scan", n) for n in ("gate", "k", "v", "q"))])
+def test_scans_report_a_non_finite_input_at_its_step(scan, name, value):
+    # One rule for every scan: the first step whose readout is not finite.
+    # Step 17 lies inside a chunk of 4 and in the second MoM scan block; the
+    # forwards run under np.errstate, so nothing warns before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            _run_scan_with_bad_entry(scan, name, value, 17)
+    assert exc.value.step == 17
 
 
 def test_chunked_scan_state_overflow_reports_chunk_end():

@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ def test_mom_numeric_error_names_block_and_step(step):
         model.forward(tokens)
     assert exc.value.block == 1
     assert exc.value.step == step
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_mom_numeric_error_names_block_and_step_under_warnings_as_errors(block):
+    # The twin of the test above with warnings as errors and no errstate:
+    # MoM's scan forward warns nothing, so its NumericError is what surfaces.
+    model = build_model(ModelKind.MOM, d=8, vocab=16, n_ctx=8, seed=7)
+    model.blocks[block].mixer.w_v.data[0, 0] = np.inf
+    tokens = np.random.default_rng(8).integers(0, 16, (2, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            model.forward(tokens)
+    assert exc.value.block == block
+    assert exc.value.step == 0
 
 
 def test_blocked_gated_scan_rejects_unequal_shapes():
@@ -853,6 +869,17 @@ def test_load_state_dict_takes_lists():
     for a, b in zip(model.params(), other.params()):
         assert b.data.dtype == np.float32
         np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("value, error, match", [
+    ([[1.0, 2.0], [3.0]], ShapeError, "p1 is ragged"),
+    (np.full((8,), "a"), DataError, "p1 is not numbers")], ids=["ragged", "strings"])
+def test_load_state_dict_names_the_key_of_a_value_that_is_not_numbers(value, error, match):
+    model = build_model(ModelKind.LINEAR_ATTENTION, d=8, vocab=16, n_ctx=8, seed=5)
+    state = model.state_dict()
+    state["p1"] = value
+    with pytest.raises(error, match=match):
+        model.load_state_dict(state)
 
 
 @pytest.mark.parametrize("block", [0, 1])
