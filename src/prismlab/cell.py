@@ -32,7 +32,9 @@ Both scans raise ShapeError for inputs that do not fit together. They and
 ``models.blocked_gated_scan`` run their forwards under ``np.errstate`` and
 report a non-finite rollout through ``non_finite_step``: NumericError at
 the first step whose readout is not finite, else at the last step of the
-first stored state that is not.
+first stored state that is not. ``scale_into_unit_ball`` and
+``rank_accumulate`` warn nothing either, so a non-finite weight upstream
+of the scan reaches that report.
 
 This module holds the layer only. In a model, PRISM is one more mixer of
 ``models.MixerBlockParams``, the pre-norm residual block every model uses:
@@ -126,15 +128,17 @@ def scale_into_unit_ball(k: Tensor) -> Tensor:
     """Rescale the forget key k[..., 0, :] of a (..., L, d) key stack by
     1 / max(1, ||k[..., 0, :]||_2). The other keys pass unchanged.
     ``fmax`` gives a NaN norm scale 1, so a NaN entry does not spread over
-    its row."""
+    its row. The forward warns nothing for a non-finite key, which the
+    scan then reports at its step."""
     kd = k.data
     k1 = kd[..., 0, :]
-    n = np.sqrt((k1 * k1).sum(axis=-1, keepdims=True))
-    big = n > 1.0
-    scale = 1.0 / np.fmax(n, 1.0)
-    out_data = kd.copy()
-    out1 = out_data[..., 0, :]
-    out1 *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt((k1 * k1).sum(axis=-1, keepdims=True))
+        big = n > 1.0
+        scale = 1.0 / np.fmax(n, 1.0)
+        out_data = kd.copy()
+        out1 = out_data[..., 0, :]
+        out1 *= scale
 
     def back(g):
         # Inside the ball the map is the identity; outside it is k / ||k||,
@@ -178,23 +182,26 @@ def rank_accumulate(terms: StepTerms):
     Returns (cols, residuals): the (B, N, L, d) columns as one fused tape
     node, and r^(1) .. r^(L+1) as one untaped (L+1, B, N, d) tensor. The
     forward keeps Phi(z) of each pair; GELU' is formed from it only when
-    the backward runs, so a call without the tape never forms it.
+    the backward runs, so a call without the tape never forms it. The
+    forward warns nothing for a non-finite input, which the scan then
+    reports at its step.
     """
     v, u, p, beta = terms.v, terms.u, terms.p, terms.beta
     pd, bd = p.data, beta.data
     n_l = pd.shape[-2]
     res = np.empty((n_l + 1,) + v.data.shape, dtype=pd.dtype)
-    np.subtract(v.data, u.data, out=res[0])
     # Phi(z) and delta stay numpy's own arrays: preallocated stacks were slower.
     cdfs, deltas = [], []
     cols = np.empty_like(pd)
-    for l in range(n_l):
-        delta = pd[..., l, :] * res[l]
-        cdfs.append(T.normal_cdf(delta))
-        delta *= cdfs[l]
-        deltas.append(delta)
-        np.subtract(res[l], delta, out=res[l + 1])
-        np.multiply(bd[..., l, None], delta, out=cols[..., l, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(v.data, u.data, out=res[0])
+        for l in range(n_l):
+            delta = pd[..., l, :] * res[l]
+            cdfs.append(T.normal_cdf(delta))
+            delta *= cdfs[l]
+            deltas.append(delta)
+            np.subtract(res[l], delta, out=res[l + 1])
+            np.multiply(bd[..., l, None], delta, out=cols[..., l, :])
 
     def back(g):
         grad = np.zeros_like(res[0])  # d loss / d r^(l+1); residuals are untaped

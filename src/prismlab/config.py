@@ -69,14 +69,14 @@ class RunConfig:
             if not is_a(value, _KINDS[f.type]):
                 raise ConfigError(f"config field '{f.name}' must be {f.type}, "
                                   f"got {value!r}")
-        for name in ("d", "l", "v", "n", "batch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"config field '{name}' must be positive")
-        if self.steps < 0:
-            raise ConfigError("config field 'steps' must be >= 0")
+        # numpy scalars are stored as Python numbers, so that save_config
+        # can write them.
+        for name, low in (("d", 1), ("l", 1), ("v", 1), ("n", 1), ("batch", 1), ("steps", 0)):
+            setattr(self, name, check_int(f"config field '{name}'", getattr(self, name), low))
         if not 0 < self.lr < math.inf:  # also refuses NaN
             raise ConfigError(f"config field 'lr' must be positive and finite, "
                               f"got {self.lr!r}")
+        self.lr = float(self.lr)
         if self.precision not in ("f32", "f64"):
             raise ConfigError("config field 'precision' must be 'f32' or 'f64'")
         try:

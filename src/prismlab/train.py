@@ -3,8 +3,11 @@
 One run is fully determined by (config, seed): model init, the fresh
 batch drawn at every step, and the held-out evaluation set all derive
 from disjoint seed streams. Loss and accuracy are computed only at query
-positions; accuracy is the exact-argmax match fraction. Both raise
-ShapeError or DataError for query positions that do not fit the logits.
+positions: ``query_loss`` scores the (B, Q, V) logit rows gathered there,
+and accuracy is the exact-argmax match fraction of the same rows.
+``SequenceModel.forward(tokens, at=qpos)`` is the one check of the query
+positions; it raises ShapeError or DataError for positions that do not fit
+the batch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .config import MetricRecord, RunConfig, check_int, is_a, seed_list
 from .errors import ConfigError, NumericError, ShapeError
-from .models import ModelKind, build_model, check_positions
+from .models import ModelKind, build_model
 from .optim import Adam
 from .tasks import TaskConfig, TaskKind, generate_batch, min_length
 
@@ -27,37 +30,16 @@ EVAL_SAMPLES = 1024
 EVAL_BATCH = 128
 
 
-def _check_queries(logits_shape, qpos, targets):
-    """``qpos`` and ``targets`` as arrays, checked against (B, N, V) logits.
-
-    Raises ShapeError unless both are (B, Q) of one shape, and DataError
-    for a position of a non-integer dtype or outside [0, N), as
-    ``check_positions`` does for ``SequenceModel.forward``.
-    """
+def query_loss(rows, targets):
+    """Mean cross entropy of (..., V) logit rows against the integer
+    ``targets``, one per row; ShapeError unless ``targets`` has the shape
+    ``rows.shape[:-1]``."""
     targets = np.asarray(targets)
-    qpos = check_positions(qpos, *logits_shape[:2])
-    if targets.shape != qpos.shape:
-        raise ShapeError(f"query positions {qpos.shape} and targets {targets.shape} "
-                         f"must both be (B, Q)")
-    return qpos, targets
-
-
-def query_loss(logits, qpos, targets):
-    """Mean cross entropy over query positions only."""
-    qpos, targets = _check_queries(logits.shape, qpos, targets)
-    picked = logits[np.arange(logits.shape[0])[:, None], qpos]
-    bsz, q, vocab = picked.shape
-    flat = T.reshape(picked, (bsz * q, vocab))
+    if targets.shape != rows.shape[:-1]:
+        raise ShapeError(f"targets {targets.shape} must have the shape "
+                         f"{rows.shape[:-1]} of the logit rows {rows.shape}")
+    flat = T.reshape(rows, (targets.size, rows.shape[-1]))
     return T.softmax_cross_entropy(flat, targets.reshape(-1))
-
-
-def query_accuracy(logits_data, qpos, targets):
-    """Exact argmax match fraction over query positions."""
-    qpos, targets = _check_queries(logits_data.shape, qpos, targets)
-    rows = np.arange(logits_data.shape[0])[:, None]
-    picked = logits_data[rows, qpos]
-    pred = picked.argmax(axis=-1)
-    return float((pred == targets).mean())
 
 
 def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPLES):
@@ -67,9 +49,10 @@ def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPL
     Only the query rows are scored, so the top of the network (the last
     block's MLP, the final layernorm and the head) runs at the B*Q query
     positions through ``model.forward(tokens, at=qpos)``, not at all B*N.
-    ``query_loss`` and ``query_accuracy`` score those (B, Q, V) rows, whose
-    query j sits at row j, and the result equals theirs on the full logits
-    bit for bit whenever a batch holds two or more query rows.
+    ``query_loss`` scores those (B, Q, V) rows as they come, and accuracy
+    is the exact-argmax match fraction of the same rows. The result equals
+    scoring the full logits' query rows bit for bit whenever a batch holds
+    two or more query rows.
     """
     if not is_a(n_samples, numbers.Integral):
         raise ConfigError(f"evaluation needs an int n_samples, got {n_samples!r}")
@@ -82,12 +65,9 @@ def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPL
         while done < n_samples:
             b = min(EVAL_BATCH, n_samples - done)
             tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=seed_list(seed) + [done])
-            logits = model.forward(tokens, at=qpos)
-            # Query j of a sample is row j of its (Q, V) logits.
-            at_rows = np.broadcast_to(np.arange(qpos.shape[1]), qpos.shape)
-            loss = query_loss(logits, at_rows, tgt)
-            total_loss += loss.item() * b
-            total_acc += query_accuracy(logits.data, at_rows, tgt) * b
+            rows = model.forward(tokens, at=qpos)
+            total_loss += query_loss(rows, tgt).item() * b
+            total_acc += float((rows.data.argmax(axis=-1) == tgt).mean()) * b
             done += b
     return total_loss / n_samples, total_acc / n_samples
 
@@ -125,7 +105,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     model = build_model(kind, d=cfg.d, vocab=cfg.v, n_ctx=cfg.n, L=cfg.l,
                         seed=[seed, 0], dtype=dtype)
     opt = Adam(list(model.params()), lr=cfg.lr)
-    run_id = f"{cfg.model}-{cfg.task}-s{seed}"
+    run_id = f"{kind.value}-{task.value}-s{seed}"
     history = []
     tokens_seen = 0
     train_s = 0.0
@@ -133,7 +113,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
     def snapshot(step, train_loss):
         ev_loss, ev_acc = evaluate(model, task, tcfg, seed=[seed, 2],
                                    n_samples=eval_samples)
-        rec = MetricRecord(run_id=run_id, model=cfg.model, task=cfg.task,
+        rec = MetricRecord(run_id=run_id, model=kind.value, task=task.value,
                            seed=seed, step=step,
                            loss=ev_loss if train_loss is None else train_loss,
                            accuracy=ev_acc,
@@ -150,7 +130,7 @@ def run_training(cfg: RunConfig, seed: int, log=None, eval_every=EVAL_EVERY,
                                            seed=[seed, 1, step])
         t0 = time.perf_counter()
         logits = model.forward(tokens)
-        loss = query_loss(logits, qpos, tgt)
+        loss = query_loss(logits[np.arange(cfg.batch)[:, None], qpos], tgt)
         last_loss = loss.item()
         if not np.isfinite(last_loss):
             raise NumericError(f"{run_id}: loss became non-finite at step {step}",
@@ -197,8 +177,7 @@ PROBE_THRESHOLDS = {
 def _probe_cell(args):
     cfg_dict, model, task, seed = args
     cfg = RunConfig(**{**cfg_dict, "model": model, "task": task})
-    result = run_training(cfg, seed)
-    return model, task, seed, result.final
+    return run_training(cfg, seed).final
 
 
 def run_probe_sweep(cfg: RunConfig, models, tasks, workers=1, log=None):
@@ -206,7 +185,8 @@ def run_probe_sweep(cfg: RunConfig, models, tasks, workers=1, log=None):
 
     Independent cells may run on parallel worker processes; each run is
     single-threaded and deterministic, and results are merged in a fixed
-    order afterwards.
+    order afterwards. Cells are keyed by the records' canonical names
+    (``"la"``, ``"parity"``), whatever spelling ``models`` and ``tasks`` use.
     """
     jobs = []
     base = {k: v for k, v in cfg.__dict__.items()}
@@ -218,18 +198,18 @@ def run_probe_sweep(cfg: RunConfig, models, tasks, workers=1, log=None):
         import multiprocessing as mp
         ctx = mp.get_context("spawn")
         with ctx.Pool(processes=workers) as pool:
-            outs = pool.map(_probe_cell, jobs)
+            records = pool.map(_probe_cell, jobs)
     else:
-        outs = []
+        records = []
         for job in jobs:
-            outs.append(_probe_cell(job))
+            rec = _probe_cell(job)
+            records.append(rec)
             if log:
-                m, t, s, rec = outs[-1]
-                log(f"cell done: {m}/{t} seed {s} acc {rec.accuracy:.3f}")
-    records = [rec for (_, _, _, rec) in outs]
+                log(f"cell done: {rec.model}/{rec.task} seed {rec.seed} "
+                    f"acc {rec.accuracy:.3f}")
     cells = {}
-    for model, task, seed, rec in outs:
-        cells.setdefault((model, task), []).append(rec.accuracy)
+    for rec in records:
+        cells.setdefault((rec.model, rec.task), []).append(rec.accuracy)
     table = {}
     for (model, task), accs in cells.items():
         med = float(np.median(accs))

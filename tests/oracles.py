@@ -424,14 +424,19 @@ def assert_chunked_scan_matches_serial(arrays, chunk):
 def full_logit_evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples):
     """(loss, accuracy) of ``train.evaluate`` on the same batches, scored on
     the full (B, N, V) logits: every position runs through the last block's
-    MLP, the final layernorm and the head, and ``query_loss`` and
-    ``query_accuracy`` pick the query rows out of them."""
+    MLP, the final layernorm and the head. The query rows are then gathered
+    out of them, one gather for the loss and one for the argmax; the loss
+    reshapes its rows to (B*Q, V) for ``softmax_cross_entropy``."""
     total_loss = total_acc = 0.0
     with T.no_grad():
         for done in range(0, n_samples, train.EVAL_BATCH):
             b = min(train.EVAL_BATCH, n_samples - done)
             tokens, qpos, tgt = generate_batch(kind, tcfg, b, seed=seed_list(seed) + [done])
             logits = model.forward(tokens)
-            total_loss += train.query_loss(logits, qpos, tgt).item() * b
-            total_acc += train.query_accuracy(logits.data, qpos, tgt) * b
+            rows = np.arange(b)[:, None]
+            picked = logits[rows, qpos]
+            flat = T.reshape(picked, (tgt.size, picked.shape[-1]))
+            total_loss += T.softmax_cross_entropy(flat, tgt.reshape(-1)).item() * b
+            pred = logits.data[rows, qpos].argmax(axis=-1)
+            total_acc += float((pred == tgt).mean()) * b
     return total_loss / n_samples, total_acc / n_samples

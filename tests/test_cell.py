@@ -668,8 +668,9 @@ def test_scan_core_blocks_equal_dense_transition_loop():
 
 
 def test_scan_core_nan_in_later_block_reports_step():
-    # The whole history is checked once after the loop: the first
-    # non-finite state is reported, and the steps after it warn nothing.
+    # The readouts are checked first after the loop, the states only as the
+    # fallback: the bad state's readout is bad at the same step, so that step
+    # is reported, and the steps after it warn nothing.
     rng = np.random.default_rng(17)
     n, bad = 3 * cell._BLOCK + 5, 2 * cell._BLOCK + 7
     alpha, beta, k, c, q = _nan_scan_inputs(rng, n, 3, bad)

@@ -1,5 +1,6 @@
 """Config loading and the metrics CSV."""
 
+import numpy as np
 import pytest
 
 from prismlab.config import (CSV_HEADER, MetricRecord, RunConfig, load_config,
@@ -21,6 +22,22 @@ def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(model="la", d=8, seeds=[4, 5], lr=3e-4)
     save_config(cfg, tmp_path / "cfg.json")
     assert load_config(tmp_path / "cfg.json") == cfg
+
+
+def test_numpy_scalar_fields_round_trip_as_python_numbers(tmp_path):
+    # save_config raised a bare TypeError: int64 is not JSON serializable.
+    cfg = RunConfig(d=np.int64(8), l=np.int32(1), v=np.int64(32), n=np.int64(24),
+                    steps=np.int64(0), batch=np.int16(2), lr=np.float32(1e-3))
+    assert all(type(getattr(cfg, f)) is int for f in ("d", "l", "v", "n", "steps", "batch"))
+    assert type(cfg.lr) is float and cfg.lr == float(np.float32(1e-3))
+    save_config(cfg, tmp_path / "cfg.json")
+    assert load_config(tmp_path / "cfg.json") == cfg
+
+
+@pytest.mark.parametrize("name, low", [("d", 1), ("batch", 1), ("steps", 0)])
+def test_int_field_below_its_floor_is_named(name, low):
+    with pytest.raises(ConfigError, match=f"config field '{name}' must be >= {low}, got -1"):
+        RunConfig(**{name: -1})
 
 
 def test_unknown_keys_are_named(tmp_path):

@@ -363,6 +363,21 @@ def test_mom_numeric_error_names_block_and_step_under_warnings_as_errors(block):
     assert exc.value.step == 0
 
 
+@pytest.mark.parametrize("weight", ["w_k", "w_v", "w_q"])
+def test_prism_numeric_error_names_block_and_step_under_warnings_as_errors(weight):
+    # An infinite weight upstream of the scan: the forget-key scaling and the
+    # rank-L refinement warn nothing, so the scan's NumericError surfaces.
+    model = build_model(ModelKind.PRISM, d=8, vocab=16, n_ctx=8, seed=7)
+    getattr(model.blocks[0].mixer, weight).data[0, 0] = np.inf
+    tokens = np.random.default_rng(8).integers(0, 16, (2, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            model.forward(tokens)
+    assert exc.value.block == 0
+    assert exc.value.step == 0
+
+
 def test_blocked_gated_scan_rejects_unequal_shapes():
     a = T.Tensor(np.zeros((3, 2, 4)))
     with pytest.raises(ShapeError):
@@ -691,8 +706,8 @@ def test_forward_at_gives_the_full_logits_gradients(kind, dtype, task):
         for p in model.params():
             p.grad = None
         logits = model.forward(tokens, at=at)
-        rows = qpos if at is None else np.broadcast_to(np.arange(qpos.shape[1]), qpos.shape)
-        T.backward(train.query_loss(logits, rows, tgt))
+        rows = logits[np.arange(len(qpos))[:, None], qpos] if at is None else logits
+        T.backward(train.query_loss(rows, tgt))
         grads.append([p.grad for p in model.params()])
     tol = 1e-5 if dtype == np.float32 else 1e-12
     for want, got in zip(*grads):

@@ -11,7 +11,7 @@ from prismlab import train
 from prismlab.config import RunConfig
 from prismlab.models import ModelKind, build_model
 from prismlab.tasks import TaskConfig, TaskKind
-from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
+from prismlab.errors import ConfigError, NumericError, ShapeError
 
 
 def small(**kw):
@@ -134,37 +134,12 @@ def test_numpy_integer_seed_trains_as_the_int():
     assert type(got.seed) is int
 
 
-def _score(score, qpos, targets):
-    # (2, 8, 5) logits; query_loss gets them as a tensor, query_accuracy raw.
-    logits = np.random.default_rng(3).standard_normal((2, 8, 5))
-    if score is train.query_loss:
-        return score(T.Tensor(logits), qpos, targets)
-    return score(logits, qpos, targets)
-
-
-SCORES = [pytest.param(train.query_loss, id="loss"),
-          pytest.param(train.query_accuracy, id="accuracy")]
-
-
-@pytest.mark.parametrize("score", SCORES)
-@pytest.mark.parametrize("pos", [-1, 8], ids=["negative", "past-end"])
-def test_query_position_out_of_range_raises_data_error(score, pos):
-    # -1 used to score position N - 1; N raised a bare IndexError.
-    with pytest.raises(DataError, match="out of range"):
-        _score(score, np.array([[pos], [2]]), np.array([[1], [2]]))
-
-
-@pytest.mark.parametrize("score", SCORES)
-def test_non_integer_query_position_raises_data_error(score):
-    with pytest.raises(DataError, match="must be integers"):
-        _score(score, np.array([[3.0], [2.0]]), np.array([[1], [2]]))
-
-
-@pytest.mark.parametrize("score", SCORES)
-def test_query_positions_and_targets_of_different_shapes_raise_shape_error(score):
-    # Equal sizes: the loss used to flatten both and score them.
-    with pytest.raises(ShapeError):
-        _score(score, np.array([[3, 4], [2, 5]]), np.array([1, 2, 3, 4]))
+@pytest.mark.parametrize("shape", [(4,), (1, 4)], ids=["1-d", "1x4"])
+def test_query_loss_of_targets_of_another_shape_raises_shape_error(shape):
+    # As many targets as rows: flattening both would score them.
+    rows = T.Tensor(np.random.default_rng(3).standard_normal((2, 2, 5)))
+    with pytest.raises(ShapeError, match=r"targets \(.*\) must have the shape \(2, 2\)"):
+        train.query_loss(rows, np.zeros(shape, dtype=np.int64))
 
 
 def test_non_finite_loss_raises_with_step():
@@ -214,3 +189,21 @@ def test_snapshot_round_trip_of_trained_model(tmp_path):
     tokens = np.random.default_rng(4).integers(0, res.model.vocab, (2, cfg.n))
     np.testing.assert_array_equal(fresh.forward(tokens).data,
                                   res.model.forward(tokens).data)
+
+
+def test_probe_sweep_names_its_cells_by_kind():
+    # "LA" used to key the cell ("LA", "parity"), which has no band, so a
+    # near-zero median passed; the run id read "LA-parity-s1".
+    records, table = train.run_probe_sweep(small(steps=0, seeds=[1]), ["LA"], ["parity"])
+    assert [(r.run_id, r.model, r.task) for r in records] == [("la-parity-s1", "la", "parity")]
+    assert list(table) == [("la", "parity")]
+    cell = table[("la", "parity")]
+    assert cell["accs"] == [records[0].accuracy]
+    assert cell["median"] == records[0].accuracy < 0.35
+    assert cell["band"] == (0.35, 0.65)
+    assert cell["pass"] is False
+    csv = train.probe_table_csv(table, train.PROBE_MODEL_ORDER, train.PROBE_TASK_ORDER)
+    want = ["task,transformer,la,mom,prism"] + [
+        f"{task},,{cell['median']:.6g},," if task == "parity" else f"{task},,,,"
+        for task in train.PROBE_TASK_ORDER]
+    assert csv == "\n".join(want) + "\n"
