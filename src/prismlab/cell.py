@@ -28,7 +28,7 @@ one fused tape node with a hand-derived backward each:
     batched product, the A_t are formed a block of steps at a time, and a
     step is one (d x d) product and one add.
 
-Both scans raise ShapeError for inputs that do not fit together. They and
+Both scans raise ShapeError for misfit or mixed-dtype inputs. They and
 ``models.blocked_gated_scan`` run their forwards under ``np.errstate`` and
 report a non-finite rollout through ``non_finite_step``: NumericError at
 the first step whose readout is not finite, else at the last step of the
@@ -224,8 +224,11 @@ def rank_accumulate(terms: StepTerms):
 # --------------------------------------------------------------------------
 
 def _check_scan_args(alpha, beta1, k, cols, q, s0):
-    """ShapeError unless the scan inputs fit together: q (B, N, d), alpha
-    and beta1 (B, N), the pair stacks k and cols (B, N, L, d), s0 (B, d, d)."""
+    """ShapeError unless the scan inputs share one dtype and fit together:
+    q (B, N, d), alpha and beta1 (B, N), the pairs k, cols (B, N, L, d), s0 (B, d, d)."""
+    dtypes = [str(t.data.dtype) for t in (alpha, beta1, k, cols, q, s0)]
+    if len(set(dtypes)) > 1:
+        raise ShapeError(f"scan needs alpha, beta1, k, cols, q, s0 of one dtype, got {dtypes}")
     ks, qs = k.data.shape, q.data.shape
     if ks != cols.data.shape:
         raise ShapeError(f"injection keys {ks} and columns {cols.data.shape} differ")
@@ -261,7 +264,7 @@ def scan_core(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tensor,
     history after the loop, and so does the backward's m_t = S_{t-1} k1_t,
     formed only when the backward runs.
 
-    Raises ShapeError if the inputs do not fit together, NumericError whose
+    Raises ShapeError for misfit or mixed-dtype inputs, NumericError whose
     ``step`` is the first step with a non-finite readout, else with a
     non-finite state (a BLAS may skip a zero query entry of a bad state).
     """
@@ -516,7 +519,7 @@ def chunked_scan(alpha: Tensor, beta1: Tensor, k: Tensor, cols: Tensor, q: Tenso
     of the chunk interiors, and in every gradient it returns. Float64
     values this small do not occur in practice.
 
-    Raises ShapeError if the inputs do not fit together, ConfigError
+    Raises ShapeError for misfit or mixed-dtype inputs, ConfigError
     unless ``chunk`` is an int >= 1, and NumericError whose ``step`` is the
     first step with a non-finite readout, or, if every readout is finite,
     the last step of the first chunk whose end state is not.

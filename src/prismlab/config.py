@@ -2,9 +2,9 @@
 
 Config files are JSON (string keys, scalar or list values). Unknown keys
 are rejected by name; an empty file means "all defaults". Metrics go to
-an append-safe CSV with a fixed header and floats at 6 significant
-digits, so identical runs write identical values in every column except
-the wall-clock ``tokens_per_s``.
+an append-safe CSV whose columns are ``MetricRecord``'s fields, in order,
+with floats at 6 significant digits, so identical runs write identical
+values in every column except the wall-clock ``tokens_per_s``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
-CSV_HEADER = ("run_id", "model", "task", "seed", "step", "loss",
-              "accuracy", "tokens_per_s")
-
 # The Python types a RunConfig field accepts, by its annotation.
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
+
+# How a metrics-row column is parsed and formatted, by its field's annotation.
+_COLUMNS = {"str": (str, ""), "int": (int, ""), "float": (float, ".6g")}
 
 
 def is_a(value, kind):
@@ -137,9 +137,8 @@ class MetricRecord:
             raise ConfigError("loss must be finite")
 
     def to_row(self):
-        return (f"{self.run_id},{self.model},{self.task},{self.seed},"
-                f"{self.step},{self.loss:.6g},{self.accuracy:.6g},"
-                f"{self.tokens_per_s:.6g}")
+        return ",".join(format(getattr(self, f.name), _COLUMNS[f.type][1])
+                        for f in fields(self))
 
     @classmethod
     def from_row(cls, row):
@@ -147,11 +146,12 @@ class MetricRecord:
         if len(parts) != len(CSV_HEADER):
             raise ConfigError(f"bad metrics row: {row!r}")
         try:
-            return cls(run_id=parts[0], model=parts[1], task=parts[2],
-                       seed=int(parts[3]), step=int(parts[4]), loss=float(parts[5]),
-                       accuracy=float(parts[6]), tokens_per_s=float(parts[7]))
+            return cls(**{f.name: _COLUMNS[f.type][0](p) for f, p in zip(fields(cls), parts)})
         except ValueError:  # a field that does not parse as its type
             raise ConfigError(f"bad metrics row: {row!r}") from None
+
+
+CSV_HEADER = tuple(f.name for f in fields(MetricRecord))
 
 
 def write_metrics(records, path):

@@ -393,8 +393,8 @@ def layernorm(x, gain, bias, eps=1e-5):
 def softmax_cross_entropy(logits, targets):
     """Mean negative log-likelihood of integer targets under the logits.
 
-    logits: (M, V); targets: (M,) ints in [0, V). Log-sum-exp is computed
-    against the row max so large logits cannot overflow.
+    logits: (M, V); targets: (M,) ints in [0, V), else DataError. Log-sum-exp
+    is computed against the row max so large logits cannot overflow.
     """
     ld = logits.data
     if ld.ndim != 2:
@@ -402,6 +402,8 @@ def softmax_cross_entropy(logits, targets):
     tgt = np.asarray(targets)
     if tgt.ndim != 1 or tgt.shape[0] != ld.shape[0]:
         raise ShapeError(f"targets shape {tgt.shape} does not match logits {ld.shape}")
+    if not np.issubdtype(tgt.dtype, np.integer):
+        raise DataError(f"targets must be integers, got dtype {tgt.dtype}")
     v = ld.shape[1]
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
         raise DataError(f"target id out of range [0, {v})")

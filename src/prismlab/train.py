@@ -12,14 +12,14 @@ the batch.
 
 from __future__ import annotations
 
-import numbers
+import contextlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .config import MetricRecord, RunConfig, check_int, is_a, seed_list
+from .config import MetricRecord, RunConfig, check_int, seed_list
 from .errors import ConfigError, NumericError, ShapeError
 from .models import ModelKind, build_model
 from .optim import Adam
@@ -54,10 +54,7 @@ def evaluate(model, kind: TaskKind, tcfg: TaskConfig, seed, n_samples=EVAL_SAMPL
     scoring the full logits' query rows bit for bit whenever a batch holds
     two or more query rows.
     """
-    if not is_a(n_samples, numbers.Integral):
-        raise ConfigError(f"evaluation needs an int n_samples, got {n_samples!r}")
-    if n_samples < 1:
-        raise ConfigError(f"evaluation needs n_samples >= 1, got {n_samples}")
+    n_samples = check_int("n_samples", n_samples, 1)
     total_loss = 0.0
     total_acc = 0.0
     done = 0
@@ -174,54 +171,51 @@ PROBE_THRESHOLDS = {
 }
 
 
-def _probe_cell(args):
-    cfg_dict, model, task, seed = args
-    cfg = RunConfig(**{**cfg_dict, "model": model, "task": task})
+def _probe_cell(job):
+    cfg, seed = job
     return run_training(cfg, seed).final
 
 
 def run_probe_sweep(cfg: RunConfig, models, tasks, workers=1, log=None):
     """Train every (model, task, seed) cell; median accuracy per cell.
 
-    Independent cells may run on parallel worker processes; each run is
-    single-threaded and deterministic, and results are merged in a fixed
-    order afterwards. Cells are keyed by the records' canonical names
-    (``"la"``, ``"parity"``), whatever spelling ``models`` and ``tasks`` use.
+    ConfigError, before any cell runs, unless ``workers`` is an int >= 1
+    and every name parses. Cells are keyed by canonical names (``"LA"``
+    becomes ``"la"``). With ``workers`` > 1 they run on a spawn pool. Either
+    way records arrive, and are logged, in cell order, and each run is
+    deterministic. The BLAS thread count of a run follows the environment.
     """
-    jobs = []
-    base = {k: v for k, v in cfg.__dict__.items()}
-    for model in models:
-        for task in tasks:
-            for seed in cfg.seeds:
-                jobs.append((base, model, task, seed))
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=workers) as pool:
-            records = pool.map(_probe_cell, jobs)
-    else:
-        records = []
-        for job in jobs:
-            rec = _probe_cell(job)
+    workers = check_int("workers", workers, 1)
+    models = [ModelKind.parse(m).value for m in models]
+    tasks = [TaskKind.parse(t).value for t in tasks]
+    jobs = [(replace(cfg, model=model, task=task), seed)
+            for model in models for task in tasks for seed in cfg.seeds]
+    records, cells = [], {}
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            import multiprocessing  # here, so that importing train stays cheap
+            run = stack.enter_context(multiprocessing.get_context("spawn").Pool(workers)).imap
+        for rec in run(_probe_cell, jobs):
             records.append(rec)
+            cells.setdefault((rec.model, rec.task), []).append(rec.accuracy)
             if log:
                 log(f"cell done: {rec.model}/{rec.task} seed {rec.seed} "
                     f"acc {rec.accuracy:.3f}")
-    cells = {}
-    for rec in records:
-        cells.setdefault((rec.model, rec.task), []).append(rec.accuracy)
     table = {}
-    for (model, task), accs in cells.items():
+    for key, accs in cells.items():
         med = float(np.median(accs))
-        band = PROBE_THRESHOLDS.get((model, task))
-        ok = band is None or (band[0] <= med <= band[1])
-        table[(model, task)] = {"median": med, "accs": sorted(accs),
-                                "band": band, "pass": ok}
+        band = PROBE_THRESHOLDS.get(key)
+        table[key] = {"median": med, "accs": sorted(accs), "band": band,
+                      "pass": band is None or band[0] <= med <= band[1]}
     return records, table
 
 
 def probe_table_csv(table, models, tasks):
-    """Paper-layout table: one row per task, one column per model."""
+    """Paper-layout table: one row per task, one column per model, each
+    named and looked up by its canonical name."""
+    models = [ModelKind.parse(m).value for m in models]
+    tasks = [TaskKind.parse(t).value for t in tasks]
     lines = ["task," + ",".join(models)]
     for task in tasks:
         row = [task]

@@ -500,6 +500,18 @@ def test_scan_rejects_misfit_inputs(scan, part):
         scan(*_shaped_args(**_MISFITS[part]))
 
 
+@pytest.mark.parametrize("scan", [scan_core, lambda *a: chunked_scan(*a, chunk=2)],
+                         ids=["scan_core", "chunked_scan"])
+@pytest.mark.parametrize("name", list(_FIT))
+def test_scan_rejects_mixed_dtypes(scan, name):
+    # One float64 input among float32 ones used to promote some outputs, and
+    # not the same ones in the two scans.
+    args = [a if part == name else T.Tensor(a.data.astype(np.float32))
+            for part, a in zip(_FIT, _shaped_args())]
+    with pytest.raises(ShapeError, match=r"one dtype, got \[.*'float64'"):
+        scan(*args)
+
+
 @pytest.mark.parametrize("chunk", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"])
 def test_chunked_scan_rejects_bad_chunk(chunk):
     with pytest.raises(ConfigError, match="chunk"):

@@ -96,6 +96,15 @@ def test_metrics_round_trip_header_written_once(tmp_path):
     assert path.read_text().count(",".join(CSV_HEADER)) == 1
 
 
+def test_metrics_row_text_is_pinned():
+    # The round trip alone would pass a writer and parser wrong the same way.
+    rec = MetricRecord(run_id="la-mqar-s1", model="la", task="mqar", seed=1, step=10,
+                       loss=1 / 3, accuracy=0.25, tokens_per_s=1234567.0)
+    assert CSV_HEADER == ("run_id", "model", "task", "seed", "step", "loss",
+                          "accuracy", "tokens_per_s")
+    assert rec.to_row() == "la-mqar-s1,la,mqar,1,10,0.333333,0.25,1.23457e+06"
+
+
 @pytest.mark.parametrize("row", ["a,b,c,x,1,1.0,0.5,3", "a,b,c,1,1,nan?,0.5,3",
                                  "a,b,c,1,1,1.0,0.5,fast"])
 def test_metrics_row_that_does_not_parse_raises_config_error(row):

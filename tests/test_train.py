@@ -1,5 +1,6 @@
 """The training loop: snapshots, timing, numeric failure, determinism."""
 
+import signal
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ from prismlab import train
 from prismlab.config import RunConfig
 from prismlab.models import ModelKind, build_model
 from prismlab.tasks import TaskConfig, TaskKind
-from prismlab.errors import ConfigError, NumericError, ShapeError
+from prismlab.errors import ConfigError, DataError, NumericError, ShapeError
 
 
 def small(**kw):
@@ -57,14 +58,14 @@ def test_non_integer_eval_argument_raises_before_any_work(monkeypatch, arg):
 
 def test_evaluate_needs_an_int_sample_count():
     model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
-    with pytest.raises(ConfigError, match="an int n_samples, got 2.5"):
+    with pytest.raises(ConfigError, match="n_samples must be an int, got 2.5"):
         train.evaluate(model, TaskKind.MQAR, TaskConfig(n=32), seed=[1], n_samples=2.5)
 
 
 def test_evaluate_needs_a_sample():
     model = build_model(ModelKind.LINEAR_ATTENTION, d=8, n_ctx=32)
     tcfg = TaskConfig(n=32)
-    with pytest.raises(ConfigError, match="n_samples >= 1, got 0"):
+    with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
         train.evaluate(model, TaskKind.MQAR, tcfg, seed=[1], n_samples=0)
 
 
@@ -142,6 +143,15 @@ def test_query_loss_of_targets_of_another_shape_raises_shape_error(shape):
         train.query_loss(rows, np.zeros(shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("targets", [np.zeros((2, 2)), np.zeros((2, 2), dtype=bool),
+                                     np.full((2, 2), "0")], ids=["float", "bool", "str"])
+def test_query_loss_of_non_integer_targets_raises_data_error(targets):
+    # Float and bool targets raised a bare IndexError, strings UFuncTypeError.
+    rows = T.Tensor(np.random.default_rng(3).standard_normal((2, 2, 5)))
+    with pytest.raises(DataError, match=f"targets must be integers, got dtype {targets.dtype}"):
+        train.query_loss(rows, targets)
+
+
 def test_non_finite_loss_raises_with_step():
     with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
         train.run_training(small(model="la", lr=1e38, steps=4), 1, eval_samples=8)
@@ -207,3 +217,43 @@ def test_probe_sweep_names_its_cells_by_kind():
         f"{task},,{cell['median']:.6g},," if task == "parity" else f"{task},,,,"
         for task in train.PROBE_TASK_ORDER]
     assert csv == "\n".join(want) + "\n"
+
+
+def test_probe_sweep_on_two_workers_equals_one():
+    # The pool path: spawned workers, records in the order of the cells.
+    def hung(signum, frame):
+        raise TimeoutError("the worker pool did not finish within 120 s")
+
+    cfg, lines = small(steps=0, seeds=[1, 2]), []
+    one = train.run_probe_sweep(cfg, ["la"], ["parity"], workers=1)
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        two = train.run_probe_sweep(cfg, ["la"], ["parity"], workers=2, log=lines.append)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert two == one
+    assert [r.seed for r in two[0]] == [1, 2]
+    assert len(lines) == 2 and lines[0].startswith("cell done: la/parity seed 1")
+
+
+@pytest.mark.parametrize("kwargs", [{"workers": "2"}, {"workers": 0}, {"workers": 1.5},
+                                    {"workers": True}, {"models": ["gpt"]},
+                                    {"tasks": ["sorting"]}],
+                         ids=["str", "zero", "float", "bool", "model", "task"])
+def test_probe_sweep_checks_its_arguments_before_any_cell(monkeypatch, kwargs):
+    # workers="2" raised a bare TypeError.
+    def refuse(*args, **kw):
+        raise AssertionError("a cell ran before the argument check")
+
+    monkeypatch.setattr(train, "run_training", refuse)
+    args = {"models": ["la"], "tasks": ["parity"], **kwargs}
+    with pytest.raises(ConfigError, match="workers|unknown"):
+        train.run_probe_sweep(small(steps=0, seeds=[1]), **args)
+
+
+def test_probe_table_csv_reads_the_canonical_cell_of_any_spelling():
+    # An "LA" column used to look up ("LA", "Parity") and print an empty cell.
+    table = {("la", "parity"): {"median": 0.5}}
+    assert train.probe_table_csv(table, ["LA"], ["Parity"]) == "task,la\nparity,0.5\n"
